@@ -36,7 +36,7 @@ from .superrad import (
     generator,
     trajectory,
 )
-from .ppt import PptReport, is_ppt, partial_transpose
+from .ppt import PptReport, is_ppt, partial_transpose, pt_min_eigenvalues
 from .volume import (
     VolumeEstimate,
     gds_volume,
@@ -73,6 +73,7 @@ __all__ = [
     "partial_transpose",
     "population_bound",
     "ppt_gds_volume",
+    "pt_min_eigenvalues",
     "random_sds_params",
     "sample_gds_simplex",
     "sds_density_matrix_phase_avg",

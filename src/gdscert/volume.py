@@ -15,9 +15,10 @@ from math import comb, factorial
 
 import numpy as np
 
-from .ppt import DEFAULT_EIG_TOL
-from .states import GDSState, dicke_projector, j_max
-from .ppt import partial_transpose
+# partial_transpose is re-exported: the traced benchmark run
+# (perfbench/tracing.py) patches it here.
+from .ppt import DEFAULT_EIG_TOL, partial_transpose, pt_min_eigenvalues  # noqa: F401
+from .states import GDSState, j_max
 
 METHOD_INDICATOR = "MC-indicator"
 METHOD_JACOBIAN = "MC-jacobian"
@@ -101,10 +102,22 @@ def gds_volume(n_qubits: int) -> Fraction:
 
 
 def sds_volume_formula(n_qubits: int) -> Fraction:
-    """Conjectured exact separable volume: prod_z z^(z-1) (z-1)!/(2z-1)!.
+    """Exact separable volume: prod_z z^(z-1) (z-1)!/(2z-1)!.
 
-    Verified against the N=4 Monte-Carlo value 2/525; the closed form is
-    empirical, not derived.
+    Derivation.  A separable GDS state is a mixture of symmetric product
+    states, so chi[n] = C(N, n) p_n with p_n = int y^n (1-y)^(N-n) dmu(y)
+    for a probability measure mu on [0, 1].  Expanding (1-y)^(N-n) gives
+    p_n = m_n + sum_{j>n} c_nj m_j in the power moments m_j = int y^j dmu,
+    a unit-triangular linear map of (m_1..m_N) onto (p_1..p_N), and
+    chi_n = C(N, n) p_n scales coordinate n by C(N, n).  The separable set
+    is therefore the image of the moment space of [0, 1], whose volume is
+    prod_{k=1..N} B(k, k) = prod ((k-1)!)^2 / (2k-1)! (Karlin & Shapley,
+    Geometry of Moment Spaces, 1953), so its volume in (chi_1..chi_N) is
+
+        prod_{k=1..N} C(N, k) * prod_{k=1..N} B(k, k).
+
+    Collecting powers of each integer, both this and the product below
+    equal (N!)^(N-1) / prod_z (2z-1)!.
     """
     out = Fraction(1)
     for z in range(1, n_qubits + 1):
@@ -112,26 +125,11 @@ def sds_volume_formula(n_qubits: int) -> Fraction:
     return out
 
 
-def _pt_basis(n_qubits: int, k: int) -> np.ndarray:
-    """(N+1, dim, dim) partial transposes of each Dicke projector; the PT of
-    a GDS state is the chi-weighted sum of these."""
-    mats = [
-        partial_transpose(dicke_projector(n_qubits, n0), k, n_qubits)
-        for n0 in range(n_qubits + 1)
-    ]
-    return np.array(mats)
-
-
-def ppt_pass_mask(n_qubits: int, chis: np.ndarray, tol: float = DEFAULT_EIG_TOL,
-                  bases=None) -> np.ndarray:
+def ppt_pass_mask(n_qubits: int, chis: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> np.ndarray:
     """Boolean PPT verdict for a batch of population rows (vectorized)."""
-    if bases is None:
-        bases = [_pt_basis(n_qubits, k) for k in range(1, n_qubits // 2 + 1)]
     ok = np.ones(len(chis), dtype=bool)
-    for basis in bases:
-        mats = np.tensordot(chis, basis, axes=([1], [0]))
-        mins = np.linalg.eigvalsh(mats).min(axis=1)
-        ok &= mins >= -tol
+    for k in range(1, n_qubits // 2 + 1):
+        ok &= pt_min_eigenvalues(n_qubits, chis, k) >= -tol
     return ok
 
 
@@ -143,18 +141,19 @@ def ppt_gds_volume(n_qubits: int, n_samples: int, seed: int,
     Fraction of uniform simplex samples passing every partial-transpose
     eigenvalue test, scaled by the simplex volume 1/N!.
     """
-    dim = 1 << n_qubits
     if chunk_size is None:
-        # keep batched eigensolve working sets around a few hundred MB
+        # The chunk sizes fix which samples each per-chunk seed stream
+        # draws, so changing this rule would change every default estimate
+        # at N >= 5, although the Dicke blocks need no memory bound.
+        dim = 1 << n_qubits
         chunk_size = max(1_000, min(DEFAULT_CHUNK, (1 << 25) // (dim * dim)))
-    bases = [_pt_basis(n_qubits, k) for k in range(1, n_qubits // 2 + 1)]
     chunks = _chunk_sizes(n_samples, chunk_size)
     seeds = np.random.SeedSequence(seed).spawn(len(chunks))
     parts = []
     for m, ss in zip(chunks, seeds):
         rng = np.random.default_rng(ss)
         chis = sample_chis(n_qubits, rng, m)
-        passed = ppt_pass_mask(n_qubits, chis, tol, bases=bases)
+        passed = ppt_pass_mask(n_qubits, chis, tol)
         n_pass = int(passed.sum())
         parts.append(_estimate_from_sums(
             float(n_pass), float(n_pass), m, float(gds_volume(n_qubits)),

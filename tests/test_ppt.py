@@ -1,8 +1,11 @@
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gdscert import (
-    CapacityError,
     GDSState,
     certify,
     evolve,
@@ -12,8 +15,16 @@ from gdscert import (
     random_sds_params,
     sds_populations,
 )
+from gdscert.ppt import DEFAULT_EIG_TOL, _pt_blocks, pt_min_eigenvalues
 from gdscert.states import is_hermitian
 from gdscert.volume import ppt_pass_mask, sample_chis
+
+
+def dense_pt_spectra(chi, ks):
+    """Sorted spectra of the dense 2^N x 2^N rho^{T_k} for each k: the oracle."""
+    n = len(chi) - 1
+    rho = gds_density_matrix(GDSState(n, chi))
+    return {k: np.linalg.eigvalsh(partial_transpose(rho, k, n)) for k in ks}
 
 
 class TestPartialTranspose:
@@ -80,9 +91,17 @@ class TestIsPpt:
             for tau in np.geomspace(1e-3, 10, 20):
                 assert is_ppt(evolve(n, tau)).is_ppt
 
-    def test_capacity_error(self):
-        with pytest.raises(CapacityError):
-            is_ppt(GDSState(11, np.full(12, 1 / 12)))
+    def test_large_n_without_dense_matrices(self):
+        for n in (12, 16, 20):
+            for tau in np.geomspace(1e-3, 10, 8):
+                assert is_ppt(evolve(n, tau)).is_ppt, (n, tau)
+        chi = np.zeros(17)
+        chi[8] = 1.0
+        report = is_ppt(GDSState(16, chi))
+        assert not report.is_ppt
+        # 8|8 split: the delta = 1 block pairs a = 4, 5 through the entry
+        # C(8,4) C(8,3) / C(16,8) = 0.3046 with zero diagonal
+        assert report.min_eigenvalues[8] == pytest.approx(-3920 / 12870, abs=1e-12)
 
     def test_json_report(self):
         obj = is_ppt(GDSState(4, [0.2, 0.2, 0.2, 0.2, 0.2])).to_json_dict()
@@ -97,15 +116,11 @@ class TestBipartitionStructure:
         occurs: for diagonal-symmetric states positivity under the balanced
         bipartition implies positivity under the smaller ones, so both
         tests agreeing is expected whenever k=2 passes."""
-        from gdscert.volume import _pt_basis
-
         rng = np.random.default_rng(123)
         chis = sample_chis(4, rng, 100_000)
         mins = {}
         for k in (1, 2):
-            basis = _pt_basis(4, k)
-            mats = np.tensordot(chis, basis, axes=([1], [0]))
-            mins[k] = np.linalg.eigvalsh(mats).min(axis=1)
+            mins[k] = pt_min_eigenvalues(4, chis, k)
         pass1 = mins[1] >= -1e-10
         pass2 = mins[2] >= -1e-10
         assert int((pass1 & ~pass2).sum()) > 0
@@ -120,3 +135,58 @@ class TestBipartitionStructure:
                 st = sds_populations(random_sds_params(n, rng))
                 assert certify(st).certified
                 assert is_ppt(st).is_ppt
+
+
+def _boundary_chis(n, rng):
+    """Rows on the simplex boundary or on the PPT boundary."""
+    rows = [np.eye(n + 1)[n0] for n0 in range(n + 1)]  # pure Dicke levels
+    rows.append(np.full(n + 1, 1.0 / (n + 1)))
+    for y in (0.3, 0.5):  # dephased symmetric product states: PPT boundary
+        rows.append(np.array([comb(n, j) * y**j * (1 - y) ** (n - j) for j in range(n + 1)]))
+    sparse = rng.dirichlet(np.ones(n + 1))
+    sparse[rng.random(n + 1) < 0.5] = 0.0
+    if sparse.sum() > 0:
+        rows.append(sparse / sparse.sum())
+    rows.append(evolve(n, 0.7).populations)
+    return rows
+
+
+class TestDickeBlocks:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_block_spectrum_equals_dense_spectrum(self, n):
+        rng = np.random.default_rng(100 + n)
+        chis = [rng.dirichlet(np.ones(n + 1)) for _ in range(4)] + _boundary_chis(n, rng)
+        for chi in chis:
+            dense = dense_pt_spectra(chi, range(1, n))
+            for k in range(1, n):
+                blocks = [np.linalg.eigvalsh(b).ravel() for b in _pt_blocks(n, chi[None], k)]
+                zeros = np.zeros((1 << n) - (k + 1) * (n - k + 1))
+                spectrum = np.sort(np.concatenate(blocks + [zeros]))
+                np.testing.assert_allclose(spectrum, dense[k], rtol=0, atol=1e-12)
+
+    def test_min_eigenvalues_batch_matches_rows(self):
+        rng = np.random.default_rng(7)
+        chis = sample_chis(6, rng, 50)
+        for k in (1, 2, 3):
+            batch = pt_min_eigenvalues(6, chis, k)
+            rows = [pt_min_eigenvalues(6, chi[None], k)[0] for chi in chis]
+            np.testing.assert_array_equal(batch, rows)
+
+    def test_split_out_of_range(self):
+        with pytest.raises(ValueError):
+            pt_min_eigenvalues(4, np.full((1, 5), 0.2), 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=6),
+    raw=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=7, max_size=7),
+)
+def test_pass_mask_matches_dense_oracle(n, raw):
+    weights = np.array(raw[: n + 1])
+    assume(weights.sum() > 0.0)
+    chi = weights / weights.sum()
+    dense_min = min(s[0] for s in dense_pt_spectra(chi, range(1, n // 2 + 1)).values())
+    margin = dense_min + DEFAULT_EIG_TOL
+    if abs(margin) > 1e-12:
+        assert bool(ppt_pass_mask(n, chi[None])[0]) == (margin > 0)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from gdscert import (
 )
 from gdscert.volume import (
     _estimate_from_sums,
-    _pt_basis,
     jacobian_general,
     jacobian_n4,
     ppt_pass_mask,
@@ -52,6 +52,14 @@ class TestAnalyticVolumes:
         assert sds_volume_formula(3) == Fraction(1, 20)
         assert sds_volume_formula(4) == Fraction(2, 525)
 
+    def test_sds_formula_is_moment_space_volume(self):
+        # prod_k C(N,k) * prod_k B(k,k), with B(k,k) = ((k-1)!)^2 / (2k-1)!
+        for n in range(1, 31):
+            derived = Fraction(1)
+            for k in range(1, n + 1):
+                derived *= comb(n, k) * Fraction(factorial(k - 1) ** 2, factorial(2 * k - 1))
+            assert sds_volume_formula(n) == derived, n
+
 
 class TestPptVolume:
     def test_constant_true_indicator_recovers_simplex_volume(self):
@@ -74,6 +82,10 @@ class TestPptVolume:
         est = ppt_gds_volume(4, 300_000, seed=5)
         assert abs(est.mean - 3808e-6) <= 4 * np.sqrt(est.std_error**2 + (2e-6) ** 2)
 
+    def test_n4_estimate_pinned(self):
+        # the value the dense 2^N eigensolves gave for these arguments
+        assert ppt_gds_volume(4, 50_000, seed=20260823).mean == 0.0038541666666666663
+
     def test_reproducibility(self):
         a = ppt_gds_volume(3, 60_000, seed=9)
         b = ppt_gds_volume(3, 60_000, seed=9)
@@ -82,12 +94,11 @@ class TestPptVolume:
     def test_chunk_merge_matches_single_run(self):
         n, total, chunk = 3, 90_000, 30_000
         full = ppt_gds_volume(n, total, seed=11, chunk_size=chunk)
-        bases = [_pt_basis(n, k) for k in range(1, n // 2 + 1)]
         parts = []
         for ss in np.random.SeedSequence(11).spawn(3):
             rng = np.random.default_rng(ss)
             chis = sample_chis(n, rng, chunk)
-            n_pass = int(ppt_pass_mask(n, chis, bases=bases).sum())
+            n_pass = int(ppt_pass_mask(n, chis).sum())
             parts.append(_estimate_from_sums(
                 float(n_pass), float(n_pass), chunk, float(gds_volume(n)),
                 11, "MC-indicator",
