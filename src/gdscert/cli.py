@@ -45,7 +45,7 @@ def _parse_tau_grid(spec: str) -> np.ndarray:
         raise click.UsageError(
             f"bad --tau spec {spec!r}; expected min:max:points:lin|geom"
         )
-    if pts < 1 or hi <= lo or lo < 0:
+    if pts < 1 or not np.isfinite([lo, hi]).all() or hi <= lo or lo < 0:
         raise click.UsageError(f"bad --tau range in {spec!r}")
     if kind == "lin":
         return np.linspace(lo, hi, pts)
@@ -54,6 +54,13 @@ def _parse_tau_grid(spec: str) -> np.ndarray:
             raise click.UsageError("geometric grids need min > 0")
         return np.geomspace(lo, hi, pts)
     raise click.UsageError(f"unknown grid spacing {kind!r} (use lin or geom)")
+
+
+def _check_tol(ctx, param, value: float) -> float:
+    # NaN compares False with everything, so it would pass every verdict check
+    if not 0.0 <= value < np.inf:
+        raise click.BadParameter(f"must be finite and >= 0, got {value!r}")
+    return value
 
 
 def _load_state(chi_file: str) -> GDSState:
@@ -78,7 +85,8 @@ def main():
 
 
 @main.command("superrad")
-@click.option("--n", "n_qubits", type=int, required=True, help="Number of qubits.")
+@click.option("--n", "n_qubits", type=click.IntRange(min=1), required=True,
+              help="Number of qubits.")
 @click.option("--tau", "tau_spec", default="1e-3:10:200:geom", show_default=True,
               help="Time grid as min:max:points:lin|geom.")
 @click.option("--out", default=None, help="Output file (default: stdout).")
@@ -116,12 +124,13 @@ def _certify_caveat(n_qubits: int):
 
 
 @main.command("certify")
-@click.option("--n", "n_qubits", type=int, default=None, help="Number of qubits.")
+@click.option("--n", "n_qubits", type=click.IntRange(min=1), default=None,
+              help="Number of qubits.")
 @click.option("--chi-file", default=None, help="JSON state file {'n':..,'chi':[..]}.")
 @click.option("--superrad-tau", "tau_spec", default=None,
               help="Certify the superradiant sweep on this grid (min:max:points:lin|geom).")
 @click.option("--tol", type=float, default=decompose.DEFAULT_EPSILON, show_default=True,
-              help="Realness/range tolerance.")
+              callback=_check_tol, help="Realness/range tolerance.")
 @click.option("--out", default=None, help="Output file (default: stdout).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
@@ -172,11 +181,13 @@ def cmd_certify(n_qubits, chi_file, tau_spec, tol, out, fmt):
 
 
 @main.command("ppt")
-@click.option("--n", "n_qubits", type=int, default=None, help="Number of qubits.")
+@click.option("--n", "n_qubits", type=click.IntRange(min=1), default=None,
+              help="Number of qubits.")
 @click.option("--chi-file", default=None, help="JSON state file.")
 @click.option("--superrad-tau", "tau_spec", default=None,
               help="Test the superradiant sweep on this grid.")
-@click.option("--tol", type=float, default=ppt.DEFAULT_EIG_TOL, show_default=True)
+@click.option("--tol", type=float, default=ppt.DEFAULT_EIG_TOL, show_default=True,
+              callback=_check_tol)
 @click.option("--out", default=None, help="Output file (default: stdout).")
 def cmd_ppt(n_qubits, chi_file, tau_spec, tol, out):
     """Partial-transpose eigenvalue test of a state or a superradiant sweep."""
@@ -203,7 +214,8 @@ def cmd_ppt(n_qubits, chi_file, tau_spec, tol, out):
 @click.option("--estimator", type=click.Choice(["ppt", "sds-mc", "sds-formula", "gds"]),
               required=True)
 @click.option("--n", "n_qubits", type=int, required=True)
-@click.option("--samples", type=int, default=None, help="Monte-Carlo sample count.")
+@click.option("--samples", type=click.IntRange(min=1), default=None,
+              help="Monte-Carlo sample count.")
 @click.option("--seed", type=int, default=None, help="RNG seed (required for MC).")
 @click.option("--out", default=None, help="Output file (default: stdout).")
 def cmd_volume(estimator, n_qubits, samples, seed, out):
@@ -218,12 +230,9 @@ def cmd_volume(estimator, n_qubits, samples, seed, out):
         else:
             est = volume.sds_volume_mc(n_qubits, samples, seed)
         payload = est.to_json_dict()
-    elif estimator == "sds-formula":
-        val = volume.sds_volume_formula(n_qubits)
-        payload = {"mean": float(val), "exact": f"{val.numerator}/{val.denominator}",
-                   "method": volume.METHOD_ANALYTIC}
     else:
-        val = volume.gds_volume(n_qubits)
+        exact = volume.sds_volume_formula if estimator == "sds-formula" else volume.gds_volume
+        val = exact(n_qubits)
         payload = {"mean": float(val), "exact": f"{val.numerator}/{val.denominator}",
                    "method": volume.METHOD_ANALYTIC}
     _emit(_resolve_out(out), json.dumps(payload, indent=2) + "\n")

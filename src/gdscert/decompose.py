@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
-from .states import GDSState, j_max
+from .states import GDSState, bernstein, binomials, j_max
 
 VERDICT_CERTIFIED = "CertifiedSeparable"
 VERDICT_NOT_CERTIFIED = "NotCertified"
@@ -40,7 +40,6 @@ class SDSDecomposition:
     n_qubits: int
     terms: tuple  # ((x_j, y_j), ...) of length j_max; complex entries allowed
     residual: float
-    canonicalized: bool = False
 
     def canonicalize(self) -> "SDSDecomposition":
         """Sort terms by descending weight (then amplitude), resolving the
@@ -52,7 +51,6 @@ class SDSDecomposition:
             n_qubits=self.n_qubits,
             terms=tuple(order),
             residual=self.residual,
-            canonicalized=True,
         )
 
     @property
@@ -111,10 +109,12 @@ def to_power_moments(state: GDSState) -> np.ndarray:
     m_r = sum_{i=0}^{N-r} C(N-r, i) p_{r+i} with p_k = chi[k] / C(N, k).
     """
     n = state.n_qubits
-    p = state.populations / np.array([comb(n, k) for k in range(n + 1)], dtype=float)
+    p = state.populations / binomials(n)
     m = np.empty(n + 1)
     for r in range(n + 1):
-        m[r] = sum(comb(n - r, i) * p[r + i] for i in range(n - r + 1))
+        # Python's sum adds left to right; a matrix product would reorder
+        # the sum and change the last digits of the certificates
+        m[r] = sum(binomials(n - r) * p[r:])
     return m
 
 
@@ -142,19 +142,8 @@ def _prony_nodes(s: np.ndarray, r0: int, rank: int) -> np.ndarray:
     return np.roots(poly)
 
 
-def _weights_for_nodes(chi: np.ndarray, n: int, nodes: np.ndarray):
-    """Least-squares weights reproducing chi for the given amplitude nodes."""
-    n0s = np.arange(n + 1)
-    binoms = np.array([comb(n, k) for k in n0s], dtype=float)
-    a = binoms[:, None] * nodes[None, :] ** n0s[:, None] \
-        * (1.0 - nodes[None, :]) ** (n - n0s)[:, None]
-    weights, *_ = np.linalg.lstsq(a, chi.astype(a.dtype), rcond=None)
-    residual = float(np.max(np.abs(a @ weights - chi)))
-    return weights, residual
-
-
 def _assemble(n: int, nodes: np.ndarray, weights: np.ndarray, chi: np.ndarray) -> SDSDecomposition:
-    max_binom = max(comb(n, k) for k in range(n + 1))
+    max_binom = binomials(n).max()
     terms = []
     for x, y in zip(weights, nodes):
         # a term is droppable only if its largest possible contribution to
@@ -169,18 +158,10 @@ def _assemble(n: int, nodes: np.ndarray, weights: np.ndarray, chi: np.ndarray) -
             terms.append((complex(x), complex(y)))
     while len(terms) < j_max(n):
         terms.append((0.0, 0.0))
-    residual = _reconstruction_residual(n, terms, chi)
-    return SDSDecomposition(n_qubits=n, terms=tuple(terms), residual=residual)
-
-
-def _reconstruction_residual(n: int, terms, chi: np.ndarray) -> float:
     xs = np.array([t[0] for t in terms])
     ys = np.array([t[1] for t in terms])
-    n0s = np.arange(n + 1)
-    binoms = np.array([comb(n, k) for k in n0s], dtype=float)
-    recon = (binoms[:, None] * ys[None, :] ** n0s[:, None]
-             * (1.0 - ys[None, :]) ** (n - n0s)[:, None]) @ xs
-    return float(np.max(np.abs(recon - chi)))
+    residual = float(np.max(np.abs(bernstein(n, ys) @ xs - chi)))
+    return SDSDecomposition(n_qubits=n, terms=tuple(terms), residual=residual)
 
 
 def solve_decomposition(state: GDSState) -> SDSDecomposition:
@@ -211,7 +192,10 @@ def solve_decomposition(state: GDSState) -> SDSDecomposition:
             continue
         if pinned:
             nodes = np.concatenate((nodes, [0.0 if not np.iscomplexobj(nodes) else 0.0 + 0j]))
-        weights, _ = _weights_for_nodes(state.populations, n, nodes)
+        table = bernstein(n, nodes)
+        weights, *_ = np.linalg.lstsq(
+            table, state.populations.astype(table.dtype), rcond=None
+        )
         if not np.all(np.isfinite(weights)):
             continue
         candidate = _assemble(n, nodes, weights, state.populations)

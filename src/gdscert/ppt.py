@@ -31,7 +31,7 @@ import numpy as np
 
 # gds_density_matrix is re-exported: the dense oracle is reached through this
 # module, and the traced benchmark run (perfbench/tracing.py) patches it here.
-from .states import GDSState, gds_density_matrix  # noqa: F401
+from .states import GDSState, binomials, gds_density_matrix  # noqa: F401
 
 DEFAULT_EIG_TOL = 1e-10
 
@@ -104,9 +104,7 @@ def _pt_blocks(n_qubits: int, chis: np.ndarray, k: int) -> list:
 
     ``chis`` is (m, N+1); returns one (m, c, s, s) stack per block size s.
     """
-    chis = np.asarray(chis, dtype=float)
-    binoms = np.array([float(comb(n_qubits, n0)) for n0 in range(n_qubits + 1)])
-    p = chis / binoms
+    p = np.asarray(chis, dtype=float) / binomials(n_qubits)
     return [p[:, idx] * w for idx, w in _block_tables(n_qubits, k)]
 
 

@@ -9,7 +9,8 @@ index N the ground level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, comb, factorial
+from functools import lru_cache
+from math import ceil, comb
 
 import numpy as np
 
@@ -46,6 +47,8 @@ class GDSState:
             raise ValueError(
                 f"populations must have length N+1={self.n_qubits + 1}, got {chi.shape}"
             )
+        if not np.isfinite(chi).all():
+            raise ValueError("populations must be finite")
         if chi.min() < -NEG_TOL:
             raise ValueError(f"negative population {chi.min():.3e} below tolerance")
         total = chi.sum()
@@ -80,6 +83,8 @@ class SDSParams:
             raise ValueError(f"expected {jm} terms for N={self.n_qubits}, got {len(terms)}")
         xs = np.array([t[0] for t in terms])
         ys = np.array([t[1] for t in terms])
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError("all x_j and y_j must be finite")
         if abs(xs.sum() - 1.0) > SUM_TOL:
             raise ValueError(f"weights sum to {xs.sum()!r}, expected 1")
         if xs.min() < 0 or xs.max() > 1 or ys.min() < 0 or ys.max() > 1:
@@ -95,6 +100,27 @@ class SDSParams:
     @property
     def amplitudes(self) -> np.ndarray:
         return np.array([t[1] for t in self.terms])
+
+
+@lru_cache(maxsize=None)
+def binomials(n_qubits: int) -> np.ndarray:
+    """The row C(N, 0..N) as floats; shared between callers, so read-only."""
+    row = np.array([comb(n_qubits, k) for k in range(n_qubits + 1)], dtype=float)
+    row.setflags(write=False)
+    return row
+
+
+def bernstein(n_qubits: int, ys) -> np.ndarray:
+    """Bernstein table C(N, n0) y^n0 (1 - y)^(N - n0) of the amplitudes ``ys``.
+
+    ``ys`` of shape (..., J) gives a (..., N+1, J) table: column j holds the
+    populations of the product state with amplitude ys[..., j], and leading
+    axes are batch axes.  Complex amplitudes are allowed, and 0**0
+    evaluates to 1, so y = 0 and y = 1 give the unit columns e_0 and e_N.
+    """
+    ys = np.asarray(ys)[..., None, :]
+    n0s = np.arange(n_qubits + 1)[:, None]
+    return binomials(n_qubits)[:, None] * ys**n0s * (1.0 - ys) ** (n_qubits - n0s)
 
 
 def _check_dense_capacity(n_qubits: int):
@@ -140,15 +166,8 @@ def sds_populations(params: SDSParams) -> GDSState:
     chi[n0] = sum_j x_j C(N, n0) y_j^n0 (1 - y_j)^n1, which is structurally
     nonnegative and sums to 1 by the binomial theorem.
     """
-    n = params.n_qubits
-    xs = params.weights
-    ys = params.amplitudes
-    n0s = np.arange(n + 1)
-    binoms = np.array([comb(n, k) for k in n0s], dtype=float)
-    # power 0**0 evaluates to 1, matching the boundary terms y in {0, 1}
-    table = ys[None, :] ** n0s[:, None] * (1.0 - ys[None, :]) ** (n - n0s)[:, None]
-    chi = binoms * (table @ xs)
-    return GDSState(n_qubits=n, populations=chi)
+    chi = bernstein(params.n_qubits, params.amplitudes) @ params.weights
+    return GDSState(n_qubits=params.n_qubits, populations=chi)
 
 
 def single_qubit_projector(y: float, phase: float) -> np.ndarray:
@@ -195,9 +214,3 @@ def random_sds_params(n_qubits: int, rng: np.random.Generator) -> SDSParams:
 
 def is_hermitian(mat: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(mat - mat.conj().T)) <= tol)
-
-
-def factorial_ratio_weight(n_qubits: int, n0: int) -> float:
-    """Normalization w_n^2 = n0! n1! / N! of the Dicke level."""
-    n1 = n_qubits - n0
-    return factorial(n0) * factorial(n1) / factorial(n_qubits)

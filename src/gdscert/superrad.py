@@ -69,13 +69,7 @@ def generator(n_qubits: int) -> CascadeGenerator:
 
 def evolve(n_qubits: int, tau: float) -> GDSState:
     """Populations at dimensionless time tau, starting fully excited."""
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
-    gen = generator(n_qubits)
-    chi0 = np.zeros(n_qubits + 1)
-    chi0[0] = 1.0
-    chi = expm(tau * gen.matrix) @ chi0
-    return GDSState(n_qubits=n_qubits, populations=chi)
+    return trajectory(n_qubits, [tau]).states[0]
 
 
 def closed_form_n4(tau: float) -> GDSState:

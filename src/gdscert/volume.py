@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
 # partial_transpose is re-exported: the traced benchmark run
 # (perfbench/tracing.py) patches it here.
 from .ppt import DEFAULT_EIG_TOL, partial_transpose, pt_min_eigenvalues  # noqa: F401
-from .states import GDSState, j_max
+from .states import GDSState, bernstein, j_max
 
 METHOD_INDICATOR = "MC-indicator"
 METHOD_JACOBIAN = "MC-jacobian"
@@ -182,33 +182,21 @@ def jacobian_general(n_qubits: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarra
     (the pinned y = 0 of even N excluded).  Rows of the Jacobian are
     derivatives with respect to every x_j and every free y_j; columns are
     the N+1 populations.
+
+    d chi / d x_j is the Bernstein column b^N(y_j), and d chi / d y_j is
+    x_j times d/dy b^N_n = N (b^(N-1)_(n-1) - b^(N-1)_n), with the
+    out-of-range b^(N-1)_(-1) = b^(N-1)_N = 0.
     """
     n = n_qubits
     jm = j_max(n)
     n_free = ys.shape[1]
     m = xs.shape[0]
-    n0s = np.arange(n + 1)
-    binoms = np.array([comb(n, k) for k in n0s], dtype=float)
     y_full = np.concatenate([ys, np.zeros((m, jm - n_free))], axis=1)
+    d_dy = -n * np.diff(bernstein(n - 1, ys), axis=1, prepend=0.0, append=0.0)
 
     jac = np.empty((m, n + 1, n + 1))
-    yb = y_full[:, :, None]  # (m, jm, 1)
-    powers = yb ** n0s[None, None, :]
-    cpowers = (1.0 - yb) ** (n - n0s)[None, None, :]
-    # d chi / d x_j
-    jac[:, :jm, :] = binoms[None, None, :] * powers * cpowers
-    # d chi / d y_j for the free amplitudes
-    yf = ys[:, :, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dpow = np.where(n0s[None, None, :] > 0,
-                        n0s[None, None, :] * yf ** np.maximum(n0s - 1, 0)[None, None, :],
-                        0.0)
-        dcpow = np.where((n - n0s)[None, None, :] > 0,
-                         (n - n0s)[None, None, :]
-                         * (1.0 - yf) ** np.maximum(n - n0s - 1, 0)[None, None, :],
-                         0.0)
-    deriv = dpow * (1.0 - yf) ** (n - n0s)[None, None, :] - yf ** n0s[None, None, :] * dcpow
-    jac[:, jm:, :] = binoms[None, None, :] * xs[:, :n_free, None] * deriv
+    jac[:, :jm, :] = bernstein(n, y_full).swapaxes(1, 2)
+    jac[:, jm:, :] = xs[:, :n_free, None] * d_dy.swapaxes(1, 2)
     return np.abs(np.linalg.det(jac))
 
 

@@ -1,9 +1,9 @@
 """Acceptance suite: one test per exit criterion, each printing a summary line.
 
-Criterion 4 defaults to its full 1e7-sample run (several minutes); set
-GDSCERT_ACCEPTANCE_SAMPLES to a smaller count (e.g. 1000000) for a smoke
-run, whose wider Monte-Carlo error bars widen the comparison bands
-accordingly.
+Criterion 4 defaults to its full 1e7-sample run (about 30-40 s on a 2-core
+x86 machine); set GDSCERT_ACCEPTANCE_SAMPLES to a smaller count (e.g.
+1000000) for a smoke run, whose wider Monte-Carlo error bars widen the
+comparison bands accordingly.
 """
 
 import os

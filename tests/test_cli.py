@@ -45,6 +45,14 @@ class TestSuperrad:
         result = runner.invoke(main, ["superrad", "--n", "4", "--tau", "nonsense"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("spec", ["nan:1:3:lin", "0:inf:3:lin"])
+    def test_non_finite_grid_is_usage_error(self, runner, spec):
+        result = runner.invoke(main, ["superrad", "--n", "4", "--tau", spec])
+        assert result.exit_code == 2
+
+    def test_zero_qubits_is_usage_error(self, runner):
+        assert runner.invoke(main, ["superrad", "--n", "0"]).exit_code == 2
+
     def test_deterministic_output_file(self, runner, tmp_path):
         args = ["superrad", "--n", "4", "--tau", "1e-3:10:30:geom",
                 "--out", str(tmp_path / "a.csv")]
@@ -122,6 +130,20 @@ class TestCertify:
         path.write_text("{not json")
         assert runner.invoke(main, ["certify", "--chi-file", str(path)]).exit_code == 2
 
+    def test_nan_population_is_usage_error(self, runner, tmp_path):
+        path = _write_state(tmp_path, 2, [float("nan"), 0.5, 0.5])
+        assert runner.invoke(main, ["certify", "--chi-file", path]).exit_code == 2
+
+    def test_zero_qubits_is_usage_error(self, runner):
+        result = runner.invoke(main, ["certify", "--n", "0", "--superrad-tau", "0.1:1:3:lin"])
+        assert result.exit_code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "-1e-9", "inf"])
+    def test_bad_tolerance_is_usage_error(self, runner, tmp_path, tol):
+        path = _write_state(tmp_path, 4, [0, 0, 1, 0, 0])
+        result = runner.invoke(main, ["certify", "--chi-file", path, "--tol", tol])
+        assert result.exit_code == 2
+
 
 class TestPpt:
     def test_entangled_file_fails(self, runner, tmp_path):
@@ -131,6 +153,18 @@ class TestPpt:
         payload = json.loads(result.output)
         assert payload["ppt"] is False
         assert payload["bipartitions"][0]["min_eig"] == pytest.approx(-0.5, abs=1e-10)
+
+    def test_nan_population_is_usage_error(self, runner, tmp_path):
+        path = _write_state(tmp_path, 2, [float("nan"), 0.5, 0.5])
+        assert runner.invoke(main, ["ppt", "--chi-file", path]).exit_code == 2
+
+    def test_zero_qubits_is_usage_error(self, runner):
+        result = runner.invoke(main, ["ppt", "--n", "0", "--superrad-tau", "0.1:1:3:lin"])
+        assert result.exit_code == 2
+
+    def test_nan_tolerance_is_usage_error(self, runner, tmp_path):
+        path = _write_state(tmp_path, 2, [0.25, 0.5, 0.25])
+        assert runner.invoke(main, ["ppt", "--chi-file", path, "--tol", "nan"]).exit_code == 2
 
     def test_superradiant_sweep_ppt(self, runner):
         result = runner.invoke(
@@ -157,6 +191,12 @@ class TestVolume:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("estimator", ["ppt", "sds-mc"])
+    def test_zero_samples_is_usage_error(self, runner, estimator):
+        result = runner.invoke(main, ["volume", "--estimator", estimator, "--n", "4",
+                                      "--samples", "0", "--seed", "1"])
+        assert result.exit_code == 2
+
     def test_mc_deterministic(self, runner):
         args = ["volume", "--estimator", "sds-mc", "--n", "4",
                 "--samples", "20000", "--seed", "7"]
@@ -181,6 +221,11 @@ class TestBound:
         assert result.exit_code == 1
         payload = json.loads(result.output)
         assert payload["violations"][0]["n0"] == 2
+
+    def test_nan_population_is_usage_error(self, runner, tmp_path):
+        path = _write_state(tmp_path, 2, [float("nan"), 0.5, 0.5])
+        result = runner.invoke(main, ["bound", "--n", "2", "--chi-file", path])
+        assert result.exit_code == 2
 
     def test_outdir_env_var(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("GDSCERT_OUTDIR", str(tmp_path))

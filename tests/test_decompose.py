@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -50,6 +53,16 @@ class TestPowerMoments:
         expected = np.zeros(6)
         expected[0] = 1.0
         np.testing.assert_allclose(to_power_moments(st), expected, atol=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_matches_exact_double_sum(self, n):
+        chi = np.random.default_rng(n).dirichlet(np.ones(n + 1))
+        p = [Fraction(c) / comb(n, k) for k, c in enumerate(chi)]
+        exact = [sum(comb(n - r, i) * p[r + i] for i in range(n - r + 1))
+                 for r in range(n + 1)]
+        np.testing.assert_allclose(
+            to_power_moments(GDSState(n, chi)), [float(v) for v in exact], rtol=1e-13
+        )
 
 
 class TestSolveDecomposition:

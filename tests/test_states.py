@@ -1,5 +1,9 @@
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdscert import (
     CapacityError,
@@ -12,7 +16,7 @@ from gdscert import (
     sds_density_matrix_phase_avg,
     sds_populations,
 )
-from gdscert.states import dicke_ket, is_hermitian
+from gdscert.states import bernstein, binomials, dicke_ket, is_hermitian
 
 
 class TestDickeProjector:
@@ -60,6 +64,11 @@ class TestGDSState:
         with pytest.raises(ValueError):
             GDSState(2, [0.5, 0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_population(self, bad):
+        with pytest.raises(ValueError):
+            GDSState(2, [bad, 0.5, 0.5])
+
     def test_tolerates_tiny_negative(self):
         GDSState(2, [0.5 + 1e-13, 0.5, -1e-13])
 
@@ -104,6 +113,12 @@ class TestSDSParams:
     def test_even_n_pinned_amplitude(self):
         with pytest.raises(ValueError):
             SDSParams(2, ((0.5, 0.3), (0.5, 0.7)))
+
+    @pytest.mark.parametrize("terms", [((np.nan, 0.3), (1.0, 0.7)),
+                                       ((0.5, np.nan), (0.5, 0.7))])
+    def test_rejects_non_finite_parameters(self, terms):
+        with pytest.raises(ValueError):
+            SDSParams(3, terms)
 
     def test_weight_normalization(self):
         with pytest.raises(ValueError):
@@ -178,3 +193,34 @@ def test_sds_states_are_ppt():
             st = sds_populations(random_sds_params(n, rng))
             report = is_ppt(st)
             assert min(report.min_eigenvalues.values()) >= -1e-10
+
+
+class TestBernsteinKernel:
+    def test_binomials_row_is_read_only(self):
+        row = binomials(6)
+        np.testing.assert_array_equal(row, [1, 6, 15, 20, 15, 6, 1])
+        assert not row.flags.writeable
+
+    def test_batch_axes(self):
+        ys = np.random.default_rng(3).random((2, 3, 4))
+        table = bernstein(5, ys)
+        assert table.shape == (2, 3, 6, 4)
+        np.testing.assert_array_equal(table[1, 2], bernstein(5, ys[1, 2]))
+
+    def test_complex_amplitudes_sum_to_one(self):
+        table = bernstein(7, [0.3 + 0.4j, 1.5 - 2j])
+        assert table.dtype == complex
+        np.testing.assert_allclose(table.sum(axis=0), 1.0, rtol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=12),
+    ys=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                min_size=1, max_size=6),
+)
+def test_bernstein_entries_and_column_sums(n, ys):
+    table = bernstein(n, ys)
+    expected = [[comb(n, k) * y**k * (1 - y) ** (n - k) for y in ys] for k in range(n + 1)]
+    np.testing.assert_allclose(table, expected, rtol=1e-13, atol=1e-300)
+    np.testing.assert_allclose(table.sum(axis=0), 1.0, rtol=1e-12)

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from gdscert import (
     gds_volume,
+    j_max,
     merge_estimates,
     ppt_gds_volume,
     sample_gds_simplex,
@@ -132,6 +133,42 @@ class TestJacobian:
         xs = np.tile([0.3, 0.3, 0.4], (5, 1))
         assert np.abs(jacobian_n4(xs[:, 0], xs[:, 1], y[:, 0], y[:, 1])).max() == 0.0
         assert np.abs(jacobian_general(4, xs, y)).max() < 1e-14
+
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_product_rule_determinant(self, n):
+        jm = j_max(n)
+        n_free = jm - 1 if n % 2 == 0 else jm
+        rng = np.random.default_rng(100 + n)
+        xs = rng.dirichlet(np.ones(jm), size=300)
+        # one amplitude per stratum of [0, 1], kept apart so the determinant
+        # is well conditioned; the outer ones are moved onto 0 and 1
+        ys = (np.arange(n_free) + 0.25 + 0.5 * rng.random((300, n_free))) / n_free
+        ys[0::2, -1] = 1.0
+        # even N has y = 0 in its pinned term, which a free 0 would duplicate
+        if n % 2:
+            ys[1::2, 0] = 0.0
+        np.testing.assert_allclose(
+            jacobian_general(n, xs, ys), _product_rule_jacobian(n, xs, ys), rtol=1e-10
+        )
+
+
+def _product_rule_jacobian(n, xs, ys):
+    """Reference |det|: d chi / d y_j by the product rule on y^n0 (1 - y)^n1."""
+    jm = j_max(n)
+    n_free = ys.shape[1]
+    n0s = np.arange(n + 1)
+    binoms = np.array([comb(n, k) for k in n0s], dtype=float)
+    y_full = np.concatenate([ys, np.zeros((len(xs), jm - n_free))], axis=1)[:, :, None]
+    jac = np.empty((len(xs), n + 1, n + 1))
+    jac[:, :jm, :] = binoms * y_full**n0s * (1.0 - y_full) ** (n - n0s)
+    yf = ys[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dpow = np.where(n0s > 0, n0s * yf ** np.maximum(n0s - 1, 0), 0.0)
+        dcpow = np.where(n - n0s > 0, (n - n0s) * (1.0 - yf) ** np.maximum(n - n0s - 1, 0), 0.0)
+    deriv = dpow * (1.0 - yf) ** (n - n0s) - yf**n0s * dcpow
+    jac[:, jm:, :] = binoms * xs[:, :n_free, None] * deriv
+    return np.abs(np.linalg.det(jac))
 
 
 class TestSdsVolumeMc:
