@@ -73,8 +73,11 @@ def _load_state(chi_file: str) -> GDSState:
 
 
 def _emit(path: Path | None, text: str):
+    # Streams are passed explicitly: for a default stream, click caches a
+    # wrapper that keeps every redirected sys.stdout (and all it holds)
+    # alive, so each in-process call would leak its output.
     if path is None:
-        click.echo(text, nl=False)
+        click.echo(text, nl=False, file=sys.stdout)
     else:
         path.write_text(text)
 
@@ -99,7 +102,7 @@ def cmd_superrad(n_qubits, tau_spec, out, fmt):
     table = traj.populations_table()
     drift = float(np.max(np.abs(table.sum(axis=1) - 1.0)))
     if drift > 1e-9:
-        click.echo(f"normalization drift {drift:.3e} exceeds 1e-9", err=True)
+        click.echo(f"normalization drift {drift:.3e} exceeds 1e-9", file=sys.stderr)
         sys.exit(1)
     if fmt == "csv":
         header = ["tau"] + [f"chi_n0_{k}" for k in range(n_qubits + 1)]
@@ -119,7 +122,7 @@ def _certify_caveat(n_qubits: int):
         click.echo(
             f"note: for N={n_qubits} >= 5 a NotCertified verdict is not a proof "
             "of entanglement (criterion completeness is conjectural)",
-            err=True,
+            file=sys.stderr,
         )
 
 
@@ -213,7 +216,7 @@ def cmd_ppt(n_qubits, chi_file, tau_spec, tol, out):
 @main.command("volume")
 @click.option("--estimator", type=click.Choice(["ppt", "sds-mc", "sds-formula", "gds"]),
               required=True)
-@click.option("--n", "n_qubits", type=int, required=True)
+@click.option("--n", "n_qubits", type=click.IntRange(min=1), required=True)
 @click.option("--samples", type=click.IntRange(min=1), default=None,
               help="Monte-Carlo sample count.")
 @click.option("--seed", type=int, default=None, help="RNG seed (required for MC).")
@@ -239,7 +242,7 @@ def cmd_volume(estimator, n_qubits, samples, seed, out):
 
 
 @main.command("bound")
-@click.option("--n", "n_qubits", type=int, required=True)
+@click.option("--n", "n_qubits", type=click.IntRange(min=1), required=True)
 @click.option("--chi-file", default=None, help="Optional state to check.")
 @click.option("--out", default=None, help="Output file (default: stdout).")
 def cmd_bound(n_qubits, chi_file, out):

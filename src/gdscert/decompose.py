@@ -1,10 +1,12 @@
 """Inversion of the separable ansatz: populations -> mixture parameters.
 
-The population equations are linearized into a truncated moment problem:
-m_r = sum_j x_j y_j^r.  Nodes y_j are recovered from a Hankel/Prony linear
-system and a companion-matrix rooting step; weights follow from a linear
-least-squares solve back in population space.  For even N one node is
-pinned at y = 0 before the solve.
+With p_n = chi[n] / C(N, n) the ansatz reads p_n = sum_j x_j y_j^n (1 - y_j)^(N - n),
+so p is the Bernstein-basis moment sequence of the measure sum_j x_j delta_{y_j}
+on [0, 1].  The nodes y_j are the eigenvalues of a symmetric pencil of two
+Hankel matrices of p written in the Bernstein basis (a Gauss, or for even N
+Gauss-Radau, quadrature rule; Golub & Welsch, Math. Comp. 23 (1969)); the
+weights follow from a linear least-squares solve back in population space.
+For even N one node is pinned at y = 0.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from math import factorial
 
 import numpy as np
 
-from .states import GDSState, bernstein, binomials, j_max
+from .states import GDSState, bernstein, binomials, check_tolerance, j_max
 
 VERDICT_CERTIFIED = "CertifiedSeparable"
 VERDICT_NOT_CERTIFIED = "NotCertified"
@@ -25,12 +27,11 @@ REASON_OUT_OF_RANGE = "ParameterOutOfRange"
 REASON_DEGENERATE = "SolverDegenerate"
 
 DEFAULT_EPSILON = 1e-9
-_RANK_ACCEPT_RESIDUAL = 1e-11
 _NEGLIGIBLE_WEIGHT = 1e-12
 
 
 class SolverDegenerateError(RuntimeError):
-    """The moment system is rank-deficient beyond the rank-reduction fallback."""
+    """No finite decomposition can be computed from the populations."""
 
 
 @dataclass(frozen=True)
@@ -112,34 +113,8 @@ def to_power_moments(state: GDSState) -> np.ndarray:
     p = state.populations / binomials(n)
     m = np.empty(n + 1)
     for r in range(n + 1):
-        # Python's sum adds left to right; a matrix product would reorder
-        # the sum and change the last digits of the certificates
         m[r] = sum(binomials(n - r) * p[r:])
     return m
-
-
-def _prony_nodes(s: np.ndarray, r0: int, rank: int) -> np.ndarray:
-    """Recover ``rank`` nodes of a discrete measure from its moment sequence
-    s[r0], s[r0+1], ..., via the annihilating-polynomial linear system."""
-    if rank == 0:
-        return np.zeros(0)
-    n_rows = len(s) - r0 - rank
-    if n_rows < 1:
-        raise SolverDegenerateError("too few moments for the requested node count")
-    a = np.empty((n_rows, rank))
-    for i in range(n_rows):
-        a[i, :] = s[r0 + i : r0 + i + rank]
-    b = -s[r0 + rank : r0 + rank + n_rows]
-    if n_rows == rank:
-        try:
-            coeffs = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
-    else:
-        coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
-    # monic polynomial y^rank + c_{rank-1} y^{rank-1} + ... + c_0
-    poly = np.concatenate(([1.0], coeffs[::-1]))
-    return np.roots(poly)
 
 
 def _assemble(n: int, nodes: np.ndarray, weights: np.ndarray, chi: np.ndarray) -> SDSDecomposition:
@@ -167,47 +142,42 @@ def _assemble(n: int, nodes: np.ndarray, weights: np.ndarray, chi: np.ndarray) -
 def solve_decomposition(state: GDSState) -> SDSDecomposition:
     """Solve the population equations for mixture parameters (x_j, y_j).
 
-    Tries node counts from 0 up to the free maximum and keeps the smallest
-    count whose reconstruction residual is negligible; mixtures with few
-    distinct amplitudes are legitimate, not errors.  For even N one node is
-    pinned at y = 0 and excluded from the moment sequence (its contribution
-    vanishes for r >= 1).  Complex parameters are returned as-is; judging
-    them is the certifier's job.
+    With h free nodes (h = (N+1)/2 for odd N, N/2 for even N), s = 1 for
+    even N and 0 for odd N, and c_i = C(h-1, i), take the h x h matrices
+    A[i, j] = c_i c_j p_{i+j+s+1} and B[i, j] = c_i c_j p_{i+j+s}.  For the
+    measure mu = sum_j x_j delta_{y_j}, G = A + B is the Gram matrix of the
+    Bernstein basis c_i y^i (1 - y)^(h-1-i) under y^s mu, and A is the same
+    matrix with an extra factor y; the eigenvalues of the pencil (A, G) are
+    therefore the nodes, exactly when the state has at most h free nodes and
+    as the Gauss (odd N) or Gauss-Radau (even N, node pinned at 0) rule
+    otherwise.  The rank of G is the number of nodes: eigenvalues of G at or
+    below h * eps * max|g|, the ``numpy.linalg.matrix_rank`` cut, are dropped.
+    The Bernstein basis sums to 1 on [0, 1], which keeps G far better
+    conditioned than the unscaled Hankel matrices of p.  Nodes of an
+    entangled state may fall outside [0, 1] and weights may be negative;
+    judging them is the certifier's job.
     """
     n = state.n_qubits
     pinned = n % 2 == 0
-    n_free = n // 2 if pinned else (n + 1) // 2
-    r0 = 1 if pinned else 0
-    m = to_power_moments(state)
-
-    best = None
-    for rank in range(0, n_free + 1):
-        if rank == 0 and not pinned:
-            continue  # no nodes at all cannot reproduce a normalized chi
-        try:
-            nodes = _prony_nodes(m, r0, rank)
-        except (SolverDegenerateError, np.linalg.LinAlgError):
-            continue
-        if not np.all(np.isfinite(nodes)):
-            continue
-        if pinned:
-            nodes = np.concatenate((nodes, [0.0 if not np.iscomplexobj(nodes) else 0.0 + 0j]))
+    h = n // 2 if pinned else (n + 1) // 2
+    p = state.populations / binomials(n)
+    idx = np.add.outer(np.arange(h), np.arange(h)) + pinned
+    scale = np.outer(binomials(h - 1), binomials(h - 1))
+    localizing = scale * p[idx + 1]
+    g, vecs = np.linalg.eigh(localizing + scale * p[idx])
+    keep = g > h * np.finfo(float).eps * np.abs(g).max()
+    u = vecs[:, keep] / np.sqrt(g[keep])
+    nodes = np.linalg.eigvalsh(u.T @ localizing @ u)
+    if pinned:
+        nodes = np.append(nodes, 0.0)
+    # an overflowed table would give NaN weights, and NaN passes every
+    # comparison in certify
+    with np.errstate(over="ignore", invalid="ignore"):
         table = bernstein(n, nodes)
-        weights, *_ = np.linalg.lstsq(
-            table, state.populations.astype(table.dtype), rcond=None
-        )
-        if not np.all(np.isfinite(weights)):
-            continue
-        candidate = _assemble(n, nodes, weights, state.populations)
-        if best is None or candidate.residual < best.residual:
-            best = candidate
-        if candidate.residual <= _RANK_ACCEPT_RESIDUAL:
-            break
-    if best is None:
-        raise SolverDegenerateError(
-            f"no usable node set found for N={n}; Hankel system degenerate"
-        )
-    return best
+    if not np.isfinite(table).all():
+        raise SolverDegenerateError(f"nodes too far outside [0, 1] for N={n}")
+    weights, *_ = np.linalg.lstsq(table, state.populations, rcond=None)
+    return _assemble(n, nodes, weights, state.populations)
 
 
 def solve_n4_closed_form(state: GDSState) -> SDSDecomposition:
@@ -215,7 +185,7 @@ def solve_n4_closed_form(state: GDSState) -> SDSDecomposition:
 
     Independent oracle for the general solver.  Raises on coincident nodes
     (vanishing discriminant denominators); callers fall back to the general
-    solver with rank reduction.
+    solver, which handles them.
     """
     if state.n_qubits != 4:
         raise ValueError("closed form applies to N=4 only")
@@ -263,6 +233,7 @@ def certify(state: GDSState, epsilon: float = DEFAULT_EPSILON) -> CertificationR
     clamped to [0, 1].  For N >= 5 a NotCertified verdict is *not* a proof
     of entanglement (the completeness of the ansatz is conjectural there).
     """
+    check_tolerance(epsilon)
     try:
         dec = solve_decomposition(state)
     except SolverDegenerateError:

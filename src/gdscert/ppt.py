@@ -31,7 +31,7 @@ import numpy as np
 
 # gds_density_matrix is re-exported: the dense oracle is reached through this
 # module, and the traced benchmark run (perfbench/tracing.py) patches it here.
-from .states import GDSState, binomials, gds_density_matrix  # noqa: F401
+from .states import GDSState, binomials, check_tolerance, gds_density_matrix  # noqa: F401
 
 DEFAULT_EIG_TOL = 1e-10
 
@@ -125,6 +125,7 @@ def pt_min_eigenvalues(n_qubits: int, chis: np.ndarray, k: int) -> np.ndarray:
 
 def is_ppt(state: GDSState, tol: float = DEFAULT_EIG_TOL) -> PptReport:
     """Eigenvalue test of every inequivalent partial transpose of a GDS state."""
+    check_tolerance(tol)
     n = state.n_qubits
     chis = state.populations[None, :]
     minima = {k: float(pt_min_eigenvalues(n, chis, k)[0]) for k in range(1, n // 2 + 1)}

@@ -28,6 +28,17 @@ def j_max(n_qubits: int) -> int:
     return ceil((n_qubits + 1) / 2)
 
 
+def check_tolerance(tol: float) -> None:
+    """Raise ValueError unless ``tol`` >= 0.
+
+    A NaN tolerance compares False with everything, so it would pass every
+    verdict check.  +inf is allowed: it accepts every state, which makes a
+    constant-true indicator for the volume estimators.
+    """
+    if not tol >= 0.0:
+        raise ValueError(f"tolerance must be >= 0, got {tol!r}")
+
+
 @dataclass(frozen=True)
 class GDSState:
     """Diagonal-symmetric mixed state: N and the population vector chi.

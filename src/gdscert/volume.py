@@ -18,7 +18,7 @@ import numpy as np
 # partial_transpose is re-exported: the traced benchmark run
 # (perfbench/tracing.py) patches it here.
 from .ppt import DEFAULT_EIG_TOL, partial_transpose, pt_min_eigenvalues  # noqa: F401
-from .states import GDSState, bernstein, j_max
+from .states import GDSState, bernstein, check_tolerance, j_max
 
 METHOD_INDICATOR = "MC-indicator"
 METHOD_JACOBIAN = "MC-jacobian"
@@ -127,6 +127,7 @@ def sds_volume_formula(n_qubits: int) -> Fraction:
 
 def ppt_pass_mask(n_qubits: int, chis: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> np.ndarray:
     """Boolean PPT verdict for a batch of population rows (vectorized)."""
+    check_tolerance(tol)
     ok = np.ones(len(chis), dtype=bool)
     for k in range(1, n_qubits // 2 + 1):
         ok &= pt_min_eigenvalues(n_qubits, chis, k) >= -tol

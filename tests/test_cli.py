@@ -1,4 +1,8 @@
+import contextlib
+import gc
+import io
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -197,6 +201,13 @@ class TestVolume:
                                       "--samples", "0", "--seed", "1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--estimator", "ppt", "--n", "0", "--samples", "10", "--seed", "1"],
+        ["--estimator", "gds", "--n", "-2"],
+    ])
+    def test_bad_qubit_count_is_usage_error(self, runner, args):
+        assert runner.invoke(main, ["volume", *args]).exit_code == 2
+
     def test_mc_deterministic(self, runner):
         args = ["volume", "--estimator", "sds-mc", "--n", "4",
                 "--samples", "20000", "--seed", "7"]
@@ -227,8 +238,26 @@ class TestBound:
         result = runner.invoke(main, ["bound", "--n", "2", "--chi-file", path])
         assert result.exit_code == 2
 
+    def test_zero_qubits_is_usage_error(self, runner):
+        assert runner.invoke(main, ["bound", "--n", "0"]).exit_code == 2
+
     def test_outdir_env_var(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("GDSCERT_OUTDIR", str(tmp_path))
         result = runner.invoke(main, ["bound", "--n", "2", "--out", "bounds.json"])
         assert result.exit_code == 0
         assert (tmp_path / "bounds.json").exists()
+
+
+def test_in_process_calls_release_redirected_streams():
+    # click keeps a cached wrapper per default stream, and for a StringIO the
+    # wrapper is the stream itself, so an echo without file= never frees it
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit):
+            main.main(args=["certify", "--n", "5", "--superrad-tau", "1e-3:10:2:geom"],
+                      prog_name="gdscert")
+    assert out.getvalue() and err.getvalue()
+    refs = [weakref.ref(out), weakref.ref(err)]
+    del out, err
+    gc.collect()
+    assert all(ref() is None for ref in refs)

@@ -3,6 +3,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gdscert import (
     GDSState,
@@ -16,6 +18,7 @@ from gdscert import (
     solve_decomposition,
     solve_n4_closed_form,
     to_power_moments,
+    trajectory,
 )
 from gdscert.decompose import (
     REASON_COMPLEX,
@@ -23,6 +26,8 @@ from gdscert.decompose import (
     REASON_OUT_OF_RANGE,
     VERDICT_CERTIFIED,
 )
+from gdscert.ppt import _pt_blocks
+from gdscert.states import bernstein
 from gdscert.volume import ppt_pass_mask, sample_chis
 
 
@@ -202,6 +207,60 @@ class TestCertify:
             assert result.certified
             assert result.certificate.residual <= 1e-9
             assert abs(result.certificate.weights.sum() - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), -1e-9])
+    def test_bad_tolerance_rejected(self, epsilon):
+        # with a NaN tolerance every range check is False, so the entangled
+        # |D_2> would come back certified
+        with pytest.raises(ValueError):
+            certify(GDSState(4, [0, 0, 1, 0, 0]), epsilon=epsilon)
+
+
+class TestLargeN:
+    """Separable states beyond N = 10, where monomial moments are too ill-conditioned."""
+
+    @pytest.mark.parametrize("n", [14, 16, 18, 20, 22, 24])
+    def test_separable_round_trips_certify(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(100):
+            result = certify(sds_populations(random_sds_params(n, rng)))
+            assert result.certified
+            assert result.certificate.residual <= 1e-9
+
+    @pytest.mark.parametrize("n", range(11, 17))
+    def test_superradiance_certifies(self, n):
+        grid = np.geomspace(1e-3, 10, 200)
+        for tau, state in zip(grid, trajectory(n, grid).states):
+            assert certify(state).certified, tau
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=10),
+    raw=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=11, max_size=11),
+    mix=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_certify_matches_ppt(n, raw, mix, seed):
+    weights = np.array(raw[: n + 1])
+    assume(weights.sum() > 0.0)
+    # mixing in a separable state reaches the PPT region, which simplex
+    # points alone almost never hit for N >= 7
+    separable = sds_populations(random_sds_params(n, np.random.default_rng(seed)))
+    chi = (1.0 - mix) * weights / weights.sum() + mix * separable.populations
+    result = certify(GDSState(n, chi))
+    # smallest eigenvalue over the Dicke blocks of every rho^{T_k}; the zero
+    # block of rho^{T_k} is left out, it pins the minimum of a PPT state at 0
+    margin = min(
+        np.linalg.eigvalsh(blocks)[..., 0].min()
+        for k in range(1, n // 2 + 1)
+        for blocks in _pt_blocks(n, chi[None], k)
+    )
+    if abs(margin) > 1e-8:
+        assert result.certified == bool(ppt_pass_mask(n, chi[None])[0])
+    if result.certified:
+        cert = result.certificate
+        assert np.abs(bernstein(n, cert.amplitudes) @ cert.weights - chi).max() <= 1e-9
 
 
 class TestPopulationBound:

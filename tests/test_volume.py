@@ -68,6 +68,11 @@ class TestPptVolume:
         assert est.mean == pytest.approx(1 / 24, abs=1e-15)
         assert est.std_error == 0.0
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-10])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError):
+            ppt_pass_mask(2, np.array([[0.0, 1.0, 0.0]]), tol=tol)
+
     def test_n2_against_exact_integral(self):
         # PPT region of the N=2 simplex: chi0 chi2 >= chi1^2 / 4.  In
         # (s, d) = (chi0 + chi2, chi0 - chi2) coordinates the region is
