@@ -133,7 +133,7 @@ def _certify_caveat(n_qubits: int):
 @click.option("--superrad-tau", "tau_spec", default=None,
               help="Certify the superradiant sweep on this grid (min:max:points:lin|geom).")
 @click.option("--tol", type=float, default=decompose.DEFAULT_EPSILON, show_default=True,
-              callback=_check_tol, help="Realness/range tolerance.")
+              callback=_check_tol, help="Residual and [0, 1] range tolerance.")
 @click.option("--out", default=None, help="Output file (default: stdout).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)

@@ -22,7 +22,6 @@ from .states import GDSState, bernstein, binomials, check_tolerance, j_max
 VERDICT_CERTIFIED = "CertifiedSeparable"
 VERDICT_NOT_CERTIFIED = "NotCertified"
 
-REASON_COMPLEX = "ComplexParameters"
 REASON_OUT_OF_RANGE = "ParameterOutOfRange"
 REASON_DEGENERATE = "SolverDegenerate"
 
@@ -36,18 +35,16 @@ class SolverDegenerateError(RuntimeError):
 
 @dataclass(frozen=True)
 class SDSDecomposition:
-    """Solved mixture parameters, possibly complex, with reconstruction residual."""
+    """Solved real mixture parameters with their reconstruction residual."""
 
     n_qubits: int
-    terms: tuple  # ((x_j, y_j), ...) of length j_max; complex entries allowed
+    terms: tuple  # ((x_j, y_j), ...) of Python floats, of length j_max
     residual: float
 
     def canonicalize(self) -> "SDSDecomposition":
         """Sort terms by descending weight (then amplitude), resolving the
         interchange ambiguity between mixture terms."""
-        order = sorted(
-            self.terms, key=lambda t: (-np.real(t[0]), -np.real(t[1]))
-        )
+        order = sorted(self.terms, key=lambda t: (-t[0], -t[1]))
         return SDSDecomposition(
             n_qubits=self.n_qubits,
             terms=tuple(order),
@@ -63,13 +60,7 @@ class SDSDecomposition:
         return np.array([t[1] for t in self.terms])
 
     def to_json_dict(self) -> dict:
-        terms = []
-        for x, y in self.terms:
-            if np.iscomplexobj(np.asarray(x)) or np.iscomplexobj(np.asarray(y)):
-                terms.append({"x": [float(np.real(x)), float(np.imag(x))],
-                              "y": [float(np.real(y)), float(np.imag(y))]})
-            else:
-                terms.append({"x": float(x), "y": float(y)})
+        terms = [{"x": float(x), "y": float(y)} for x, y in self.terms]
         return {"terms": terms, "residual": float(self.residual)}
 
 
@@ -125,12 +116,7 @@ def _assemble(n: int, nodes: np.ndarray, weights: np.ndarray, chi: np.ndarray) -
         # any population is negligible; |x| alone is not enough (a tiny
         # weight on a far-out node can still carry O(1) contribution)
         contrib = abs(x) * max(abs(y), abs(1 - y), 1.0) ** n * max_binom
-        if contrib <= _NEGLIGIBLE_WEIGHT:
-            terms.append((0.0, 0.0))
-        elif abs(np.imag(x)) == 0.0 and abs(np.imag(y)) == 0.0:
-            terms.append((float(np.real(x)), float(np.real(y))))
-        else:
-            terms.append((complex(x), complex(y)))
+        terms.append((0.0, 0.0) if contrib <= _NEGLIGIBLE_WEIGHT else (float(x), float(y)))
     while len(terms) < j_max(n):
         terms.append((0.0, 0.0))
     xs = np.array([t[0] for t in terms])
@@ -184,8 +170,9 @@ def solve_n4_closed_form(state: GDSState) -> SDSDecomposition:
     """Closed-form decomposition for N = 4: explicit y+/-, x+/- expressions.
 
     Independent oracle for the general solver.  Raises on coincident nodes
-    (vanishing discriminant denominators); callers fall back to the general
-    solver, which handles them.
+    (vanishing discriminant denominators) and on complex nodes (negative
+    discriminant, which only entangled states have); callers fall back to
+    the general solver, which handles them.
     """
     if state.n_qubits != 4:
         raise ValueError("closed form applies to N=4 only")
@@ -201,7 +188,9 @@ def solve_n4_closed_form(state: GDSState) -> SDSDecomposition:
         + 12 * c22 * (8 * c22**2 - 27 * c13 * c31) * c40
         - 27 * (c22**2 - 3 * c13 * c31) * c31**2
     )
-    root = np.sqrt(complex(rad))
+    if rad < 0:
+        raise SolverDegenerateError("negative discriminant: complex nodes")
+    root = np.sqrt(rad)
     y_p = (num + root) / den
     y_m = (num - root) / den
     if abs(y_p - y_m) < 1e-12:
@@ -217,20 +206,16 @@ def solve_n4_closed_form(state: GDSState) -> SDSDecomposition:
     x_m = x_for(y_m, y_p)
     x3 = 1.0 - x_p - x_m
 
-    nodes = np.array([y_p, y_m, 0.0 + 0j])
-    weights = np.array([x_p, x_m, x3])
-    if np.max(np.abs(np.imag(nodes))) == 0.0 and np.max(np.abs(np.imag(weights))) == 0.0:
-        nodes = np.real(nodes)
-        weights = np.real(weights)
-    return _assemble(4, nodes, weights, chi)
+    return _assemble(4, np.array([y_p, y_m, 0.0]), np.array([x_p, x_m, x3]), chi)
 
 
 def certify(state: GDSState, epsilon: float = DEFAULT_EPSILON) -> CertificationResult:
     """Run the decomposition solver and apply the convexity sanity check.
 
-    CertifiedSeparable iff all solved x_j, y_j are real within ``epsilon``
-    and lie in [-epsilon, 1+epsilon]; the certificate carries the values
-    clamped to [0, 1].  For N >= 5 a NotCertified verdict is *not* a proof
+    CertifiedSeparable iff the solved mixture reproduces chi within
+    ``epsilon`` (max-norm residual) and every x_j, y_j lies in
+    [-epsilon, 1+epsilon]; the certificate carries the values clamped to
+    [0, 1].  For N >= 5 a NotCertified verdict is *not* a proof
     of entanglement (the completeness of the ansatz is conjectural there).
     """
     check_tolerance(epsilon)
@@ -245,12 +230,7 @@ def certify(state: GDSState, epsilon: float = DEFAULT_EPSILON) -> CertificationR
             verdict=VERDICT_NOT_CERTIFIED, tolerance=epsilon, reason=REASON_DEGENERATE
         )
     params = np.concatenate((dec.weights, dec.amplitudes))
-    if np.max(np.abs(np.imag(params))) > epsilon:
-        return CertificationResult(
-            verdict=VERDICT_NOT_CERTIFIED, tolerance=epsilon, reason=REASON_COMPLEX
-        )
-    real = np.real(params)
-    for i, v in enumerate(real):
+    for i, v in enumerate(params):
         if v < -epsilon or v > 1.0 + epsilon:
             return CertificationResult(
                 verdict=VERDICT_NOT_CERTIFIED,
@@ -260,7 +240,7 @@ def certify(state: GDSState, epsilon: float = DEFAULT_EPSILON) -> CertificationR
             )
     jm = len(dec.terms)
     clamped = tuple(
-        (float(np.clip(real[j], 0.0, 1.0)), float(np.clip(real[jm + j], 0.0, 1.0)))
+        (float(np.clip(params[j], 0.0, 1.0)), float(np.clip(params[jm + j], 0.0, 1.0)))
         for j in range(jm)
     )
     certificate = SDSDecomposition(

@@ -73,7 +73,14 @@ class GDSState:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "GDSState":
-        return cls(n_qubits=int(obj["n"]), populations=np.asarray(obj["chi"], dtype=float))
+        """Parse ``{"n": int, "chi": [number, ...]}``; bools and strings are
+        rejected, and a float ``n`` is rejected rather than truncated."""
+        n, chi = obj["n"], obj["chi"]
+        if type(n) is not int:
+            raise TypeError(f'"n" must be an integer, got {n!r}')
+        if not isinstance(chi, list) or any(type(c) not in (int, float) for c in chi):
+            raise TypeError('"chi" must be a list of numbers')
+        return cls(n_qubits=n, populations=np.asarray(chi, dtype=float))
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,8 @@ def ppt_gds_volume(n_qubits: int, n_samples: int, seed: int,
 def _chunk_sizes(n_samples: int, chunk_size: int) -> list:
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
     full, rem = divmod(n_samples, chunk_size)
     return [chunk_size] * full + ([rem] if rem else [])
 

@@ -21,7 +21,6 @@ from gdscert import (
     trajectory,
 )
 from gdscert.decompose import (
-    REASON_COMPLEX,
     REASON_DEGENERATE,
     REASON_OUT_OF_RANGE,
     VERDICT_CERTIFIED,
@@ -166,6 +165,12 @@ class TestClosedFormN4:
         with pytest.raises(ValueError):
             solve_n4_closed_form(GDSState(2, [0.25, 0.5, 0.25]))
 
+    def test_complex_nodes_raise(self):
+        # an entangled state whose discriminant is negative: the nodes would
+        # be a complex-conjugate pair
+        with pytest.raises(SolverDegenerateError):
+            solve_n4_closed_form(GDSState(4, [0, 0, 0.5, 0.5, 0]))
+
 
 class TestCertify:
     @pytest.mark.parametrize("tau", [0.01, 0.1, 0.5, 1.0, 2.0, 5.0])
@@ -180,10 +185,10 @@ class TestCertify:
     def test_pure_dicke_not_certified(self):
         result = certify(GDSState(4, [0, 0, 0, 1, 0]))
         assert not result.certified
-        assert result.reason in (REASON_COMPLEX, REASON_OUT_OF_RANGE, REASON_DEGENERATE)
+        assert result.reason in (REASON_OUT_OF_RANGE, REASON_DEGENERATE)
 
     def test_generic_entangled_reasons(self):
-        # interior NPT states are caught by the range or realness checks
+        # interior NPT states are caught by the range or residual checks
         rng = np.random.default_rng(17)
         chis = sample_chis(4, rng, 2000)
         npt = chis[~ppt_pass_mask(4, chis)]
@@ -192,7 +197,7 @@ class TestCertify:
             result = certify(GDSState(4, chi))
             assert not result.certified
             reasons.add(result.reason)
-        assert reasons <= {REASON_COMPLEX, REASON_OUT_OF_RANGE, REASON_DEGENERATE}
+        assert reasons <= {REASON_OUT_OF_RANGE, REASON_DEGENERATE}
         assert REASON_OUT_OF_RANGE in reasons
 
     def test_n2_boundary_product_state(self):
@@ -261,6 +266,24 @@ def test_certify_matches_ppt(n, raw, mix, seed):
     if result.certified:
         cert = result.certificate
         assert np.abs(bernstein(n, cert.amplitudes) @ cert.weights - chi).max() <= 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=16),
+    raw=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=17, max_size=17),
+)
+def test_decompositions_are_real(n, raw):
+    weights = np.array(raw[: n + 1])
+    assume(weights.sum() > 0.0)
+    state = GDSState(n, weights / weights.sum())
+    try:
+        dec = solve_decomposition(state)
+    except SolverDegenerateError:
+        pass
+    else:
+        assert all(type(x) is float and type(y) is float for x, y in dec.terms)
+    assert certify(state).reason in (None, REASON_OUT_OF_RANGE, REASON_DEGENERATE)
 
 
 class TestPopulationBound:

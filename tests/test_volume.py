@@ -97,6 +97,11 @@ class TestPptVolume:
         b = ppt_gds_volume(3, 60_000, seed=9)
         assert a == b
 
+    @pytest.mark.parametrize("chunk_size", [0, -5])
+    def test_bad_chunk_size_rejected(self, chunk_size):
+        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+            ppt_gds_volume(4, 10, seed=1, chunk_size=chunk_size)
+
     def test_chunk_merge_matches_single_run(self):
         n, total, chunk = 3, 90_000, 30_000
         full = ppt_gds_volume(n, total, seed=11, chunk_size=chunk)
@@ -186,6 +191,11 @@ class TestSdsVolumeMc:
         est = sds_volume_mc(n, 200_000, seed=10)
         target = float(sds_volume_formula(n))
         assert abs(est.mean - target) <= 4 * est.std_error + 1e-12
+
+    @pytest.mark.parametrize("chunk_size", [0, -5])
+    def test_bad_chunk_size_rejected(self, chunk_size):
+        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+            sds_volume_mc(4, 10, seed=1, chunk_size=chunk_size)
 
     def test_reproducibility(self):
         a = sds_volume_mc(4, 50_000, seed=12)
