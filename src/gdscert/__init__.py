@@ -40,7 +40,6 @@ from .ppt import PptReport, is_ppt, partial_transpose, pt_min_eigenvalues
 from .volume import (
     VolumeEstimate,
     gds_volume,
-    merge_estimates,
     ppt_gds_volume,
     sample_gds_simplex,
     sds_volume_formula,
@@ -69,7 +68,6 @@ __all__ = [
     "generator",
     "is_ppt",
     "j_max",
-    "merge_estimates",
     "partial_transpose",
     "population_bound",
     "ppt_gds_volume",

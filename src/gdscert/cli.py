@@ -68,8 +68,28 @@ def _load_state(chi_file: str) -> GDSState:
         with open(chi_file) as fh:
             obj = json.load(fh)
         return GDSState.from_json_dict(obj)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise click.UsageError(f"cannot read state from {chi_file}: {exc}")
+
+
+def _state_source(n_qubits, chi_file, tau_spec, announce=lambda n: None):
+    """The states ``certify`` and ``ppt`` test, as ``(state, sweep)``.
+
+    ``state`` is read from ``--chi-file``, or ``sweep`` holds the (tau,
+    state) pairs of the ``--superrad-tau`` cascade; the other is None.
+    ``announce(N)`` runs once N is known, before the grid is parsed.
+    """
+    if (chi_file is None) == (tau_spec is None):
+        raise click.UsageError("provide exactly one of --chi-file or --superrad-tau")
+    if chi_file is not None:
+        state = _load_state(chi_file)
+        announce(state.n_qubits)
+        return state, None
+    if n_qubits is None:
+        raise click.UsageError("--superrad-tau needs --n")
+    announce(n_qubits)
+    grid = _parse_tau_grid(tau_spec)
+    return None, list(zip(grid, superrad.trajectory(n_qubits, grid).states))
 
 
 def _emit(path: Path | None, text: str):
@@ -139,23 +159,16 @@ def _certify_caveat(n_qubits: int):
               show_default=True)
 def cmd_certify(n_qubits, chi_file, tau_spec, tol, out, fmt):
     """Certify separability of a state or a superradiant sweep."""
-    if (chi_file is None) == (tau_spec is None):
-        raise click.UsageError("provide exactly one of --chi-file or --superrad-tau")
-    if chi_file is not None:
-        state = _load_state(chi_file)
-        _certify_caveat(state.n_qubits)
+    state, sweep = _state_source(n_qubits, chi_file, tau_spec, announce=_certify_caveat)
+    if state is not None:
         result = decompose.certify(state, epsilon=tol)
         _emit(_resolve_out(out), json.dumps(result.to_json_dict(), indent=2) + "\n")
         sys.exit(0 if result.certified else 1)
 
-    if n_qubits is None:
-        raise click.UsageError("--superrad-tau needs --n")
-    _certify_caveat(n_qubits)
-    grid = _parse_tau_grid(tau_spec)
     jm = j_max(n_qubits)
     rows = []
     all_ok = True
-    for tau, state in zip(grid, superrad.trajectory(n_qubits, grid).states):
+    for tau, state in sweep:
         result = decompose.certify(state, epsilon=tol)
         all_ok &= result.certified
         if result.certified:
@@ -194,18 +207,14 @@ def cmd_certify(n_qubits, chi_file, tau_spec, tol, out, fmt):
 @click.option("--out", default=None, help="Output file (default: stdout).")
 def cmd_ppt(n_qubits, chi_file, tau_spec, tol, out):
     """Partial-transpose eigenvalue test of a state or a superradiant sweep."""
-    if (chi_file is None) == (tau_spec is None):
-        raise click.UsageError("provide exactly one of --chi-file or --superrad-tau")
-    if chi_file is not None:
-        report = ppt.is_ppt(_load_state(chi_file), tol=tol)
+    state, sweep = _state_source(n_qubits, chi_file, tau_spec)
+    if state is not None:
+        report = ppt.is_ppt(state, tol=tol)
         _emit(_resolve_out(out), json.dumps(report.to_json_dict(), indent=2) + "\n")
         sys.exit(0 if report.is_ppt else 1)
-    if n_qubits is None:
-        raise click.UsageError("--superrad-tau needs --n")
-    grid = _parse_tau_grid(tau_spec)
     payload = []
     all_ok = True
-    for tau, state in zip(grid, superrad.trajectory(n_qubits, grid).states):
+    for tau, state in sweep:
         report = ppt.is_ppt(state, tol=tol)
         all_ok &= report.is_ppt
         payload.append({"tau": float(tau), **report.to_json_dict()})

@@ -53,7 +53,7 @@ class GDSState:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be a positive integer")
-        chi = np.asarray(self.populations, dtype=float)
+        chi = np.array(self.populations, dtype=float)
         if chi.shape != (self.n_qubits + 1,):
             raise ValueError(
                 f"populations must have length N+1={self.n_qubits + 1}, got {chi.shape}"
@@ -80,7 +80,7 @@ class GDSState:
             raise TypeError(f'"n" must be an integer, got {n!r}')
         if not isinstance(chi, list) or any(type(c) not in (int, float) for c in chi):
             raise TypeError('"chi" must be a list of numbers')
-        return cls(n_qubits=n, populations=np.asarray(chi, dtype=float))
+        return cls(n_qubits=n, populations=chi)
 
 
 @dataclass(frozen=True)

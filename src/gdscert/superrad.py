@@ -34,7 +34,7 @@ class CascadeGenerator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
+        mat = np.array(self.matrix, dtype=float)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -64,7 +64,7 @@ def generator(n_qubits: int) -> CascadeGenerator:
         if n0 >= 1:
             mat[n0, n0 - 1] = n0 * (n1 + 1)
     assert (mat.sum(axis=0) == 0).all()
-    return CascadeGenerator(n_qubits=n, matrix=mat.astype(float))
+    return CascadeGenerator(n_qubits=n, matrix=mat)
 
 
 def evolve(n_qubits: int, tau: float) -> GDSState:
@@ -119,7 +119,7 @@ def closed_form_n8(tau: float) -> GDSState:
 
 def trajectory(n_qubits: int, tau_grid) -> Trajectory:
     """Evaluate the cascade on an ascending nonnegative time grid."""
-    grid = np.asarray(tau_grid, dtype=float)
+    grid = np.array(tau_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise ValueError("tau_grid must be a nonempty 1-D sequence")
     if grid[0] < 0 or np.any(np.diff(grid) <= 0):

@@ -2,9 +2,10 @@
 
 All volumes use the flat measure on the population simplex (an
 unconventional metric chosen for tractability, not a canonical state-space
-measure).  Monte-Carlo estimators are split into independently seeded
-chunks whose results merge deterministically, so identical (seed, args)
-reproduce bit-identical numbers and parallel evaluation is possible.
+measure).  A Monte-Carlo estimator splits its samples into chunks of a
+fixed size, and chunk i draws from the i-th child stream of the seed's
+``SeedSequence``.  The chunk sizes and the seed therefore fix every sample,
+so identical (seed, args) reproduce bit-identical numbers.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ DEFAULT_CHUNK = 100_000
 
 @dataclass(frozen=True)
 class VolumeEstimate:
-    """Monte-Carlo volume with standard error and merge accumulators.
+    """Monte-Carlo volume: the scaled sample mean and its standard error.
 
-    ``acc_sum`` / ``acc_sumsq`` are the raw per-sample sums before the
-    ``scale`` factor; they make chunk merging exact.
+    ``seed`` is the caller's seed and ``method`` names the integrand
+    (``METHOD_INDICATOR`` or ``METHOD_JACOBIAN``).
     """
 
     mean: float
@@ -40,9 +41,6 @@ class VolumeEstimate:
     n_samples: int
     seed: object
     method: str
-    scale: float = 1.0
-    acc_sum: float = 0.0
-    acc_sumsq: float = 0.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -54,34 +52,31 @@ class VolumeEstimate:
         }
 
 
-def _estimate_from_sums(acc_sum, acc_sumsq, n, scale, seed, method) -> VolumeEstimate:
-    mean_raw = acc_sum / n
-    var_raw = max(acc_sumsq / n - mean_raw**2, 0.0)
+def _mc_estimate(n_samples, chunk_size, seed, scale, method, draw) -> VolumeEstimate:
+    """Mean and standard error of ``draw`` over ``n_samples`` samples, scaled.
+
+    ``draw(rng, m)`` returns the integrand at m fresh samples.  Chunk i has
+    ``chunk_size`` samples (the last one the remainder) and its own
+    generator on stream i of ``SeedSequence(seed)``.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    full, rem = divmod(n_samples, chunk_size)
+    chunks = [chunk_size] * full + ([rem] if rem else [])
+    acc_sum = acc_sumsq = 0.0
+    for m, ss in zip(chunks, np.random.SeedSequence(seed).spawn(len(chunks))):
+        values = draw(np.random.default_rng(ss), m)
+        acc_sum += float(values.sum())
+        acc_sumsq += float((values**2).sum())
+    mean_raw = acc_sum / n_samples
+    var_raw = max(acc_sumsq / n_samples - mean_raw**2, 0.0)
     return VolumeEstimate(
         mean=scale * mean_raw,
-        std_error=scale * np.sqrt(var_raw / n),
-        n_samples=n,
+        std_error=scale * np.sqrt(var_raw / n_samples),
+        n_samples=n_samples,
         seed=seed,
         method=method,
-        scale=scale,
-        acc_sum=float(acc_sum),
-        acc_sumsq=float(acc_sumsq),
     )
-
-
-def merge_estimates(estimates) -> VolumeEstimate:
-    """Combine independent chunk estimates of the same integral."""
-    estimates = list(estimates)
-    if not estimates:
-        raise ValueError("nothing to merge")
-    method = estimates[0].method
-    scale = estimates[0].scale
-    if any(e.method != method or e.scale != scale for e in estimates):
-        raise ValueError("cannot merge estimates of different integrals")
-    n = sum(e.n_samples for e in estimates)
-    s1 = sum(e.acc_sum for e in estimates)
-    s2 = sum(e.acc_sumsq for e in estimates)
-    return _estimate_from_sums(s1, s2, n, scale, estimates[0].seed, method)
 
 
 def sample_chis(n_qubits: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -135,41 +130,23 @@ def ppt_pass_mask(n_qubits: int, chis: np.ndarray, tol: float = DEFAULT_EIG_TOL)
 
 
 def ppt_gds_volume(n_qubits: int, n_samples: int, seed: int,
-                   tol: float = DEFAULT_EIG_TOL,
-                   chunk_size: int | None = None) -> VolumeEstimate:
+                   tol: float = DEFAULT_EIG_TOL) -> VolumeEstimate:
     """Monte-Carlo volume of the PPT region of GDS states.
 
     Fraction of uniform simplex samples passing every partial-transpose
     eigenvalue test, scaled by the simplex volume 1/N!.
     """
-    if chunk_size is None:
-        # The chunk sizes fix which samples each per-chunk seed stream
-        # draws, so changing this rule would change every default estimate
-        # at N >= 5, although the Dicke blocks need no memory bound.
-        dim = 1 << n_qubits
-        chunk_size = max(1_000, min(DEFAULT_CHUNK, (1 << 25) // (dim * dim)))
-    chunks = _chunk_sizes(n_samples, chunk_size)
-    seeds = np.random.SeedSequence(seed).spawn(len(chunks))
-    parts = []
-    for m, ss in zip(chunks, seeds):
-        rng = np.random.default_rng(ss)
+    def draw(rng, m):
         chis = sample_chis(n_qubits, rng, m)
-        passed = ppt_pass_mask(n_qubits, chis, tol)
-        n_pass = int(passed.sum())
-        parts.append(_estimate_from_sums(
-            float(n_pass), float(n_pass), m, float(gds_volume(n_qubits)),
-            seed, METHOD_INDICATOR,
-        ))
-    return merge_estimates(parts)
+        return ppt_pass_mask(n_qubits, chis, tol).astype(float)
 
-
-def _chunk_sizes(n_samples: int, chunk_size: int) -> list:
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    full, rem = divmod(n_samples, chunk_size)
-    return [chunk_size] * full + ([rem] if rem else [])
+    # The chunk sizes fix which samples each per-chunk seed stream draws,
+    # so changing this rule would change every estimate at N >= 5,
+    # although the Dicke blocks need no memory bound.
+    dim = 1 << n_qubits
+    chunk_size = max(1_000, min(DEFAULT_CHUNK, (1 << 25) // (dim * dim)))
+    return _mc_estimate(n_samples, chunk_size, seed, float(gds_volume(n_qubits)),
+                        METHOD_INDICATOR, draw)
 
 
 def jacobian_n4(x1, x2, y1, y2):
@@ -203,8 +180,7 @@ def jacobian_general(n_qubits: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarra
     return np.abs(np.linalg.det(jac))
 
 
-def sds_volume_mc(n_qubits: int, n_samples: int, seed: int,
-                  chunk_size: int = DEFAULT_CHUNK) -> VolumeEstimate:
+def sds_volume_mc(n_qubits: int, n_samples: int, seed: int) -> VolumeEstimate:
     """Monte-Carlo separable volume in mixture coordinates.
 
     Integrates the change-of-variable density over weights on the simplex
@@ -216,21 +192,17 @@ def sds_volume_mc(n_qubits: int, n_samples: int, seed: int,
     jm = j_max(n)
     pinned = n % 2 == 0
     n_free = jm - 1 if pinned else jm
-    # index of the weight eliminated by the normalization constraint:
-    # the pinned term's weight for even N, the last free weight for odd N
-    chunks = _chunk_sizes(n_samples, chunk_size)
-    seeds = np.random.SeedSequence(seed).spawn(len(chunks))
-    parts = []
-    for m, ss in zip(chunks, seeds):
-        rng = np.random.default_rng(ss)
+
+    def draw(rng, m):
+        # the weight eliminated by the normalization constraint is the
+        # pinned term's for even N and the last free one's for odd N
         x_sampled = rng.random((m, jm - 1))
         x_last = 1.0 - x_sampled.sum(axis=1)
         xs = np.concatenate([x_sampled, x_last[:, None]], axis=1)
         ys = rng.random((m, n_free))
         inside = x_last >= 0.0
         # one-to-one ordering over the interchangeable (x, y) pairs
-        x_pairs = xs[:, :n_free]
-        ordered = np.all(np.diff(x_pairs, axis=1) <= 0.0, axis=1)
+        ordered = np.all(np.diff(xs[:, :n_free], axis=1) <= 0.0, axis=1)
         mask = inside & ordered
         values = np.zeros(m)
         if mask.any():
@@ -240,8 +212,6 @@ def sds_volume_mc(n_qubits: int, n_samples: int, seed: int,
                 )
             else:
                 values[mask] = jacobian_general(n, xs[mask], ys[mask])
-        parts.append(_estimate_from_sums(
-            float(values.sum()), float((values**2).sum()), m, 1.0,
-            seed, METHOD_JACOBIAN,
-        ))
-    return merge_estimates(parts)
+        return values
+
+    return _mc_estimate(n_samples, DEFAULT_CHUNK, seed, 1.0, METHOD_JACOBIAN, draw)

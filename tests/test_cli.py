@@ -22,13 +22,15 @@ def _write_state(tmp_path, n, chi, name="state.json"):
     return str(path)
 
 
-# well-formed JSON with the wrong types; on the left the --n that bound needs
+# well-formed JSON with the wrong types, or a number too large for a float;
+# on the left the --n that bound needs
 BAD_STATE_FILES = [
     (4, {"n": 4.5, "chi": [0.2] * 5}),
     (1, {"n": True, "chi": [0.5, 0.5]}),
     (4, {"n": "4", "chi": [0.2] * 5}),
     (2, {"n": 2, "chi": ["0.25", "0.5", "0.25"]}),
     (2, {"n": 2, "chi": [True, False, False]}),
+    (2, {"n": 2, "chi": [10**400, 0, 0]}),
 ]
 
 

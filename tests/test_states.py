@@ -72,6 +72,13 @@ class TestGDSState:
     def test_tolerates_tiny_negative(self):
         GDSState(2, [0.5 + 1e-13, 0.5, -1e-13])
 
+    def test_caller_array_stays_writable(self):
+        chi = np.array([0.25, 0.25, 0.25, 0.25, 0.0])
+        st = GDSState(4, chi)
+        chi[0] = 0.5
+        assert st.populations[0] == 0.25
+        assert not st.populations.flags.writeable
+
     def test_json_round_trip(self):
         st = GDSState(3, [0.1, 0.2, 0.3, 0.4])
         again = GDSState.from_json_dict(st.to_json_dict())

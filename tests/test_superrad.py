@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from gdscert import (
+    CascadeGenerator,
     closed_form_n4,
     closed_form_n8,
     evolve,
@@ -22,6 +23,13 @@ class TestGenerator:
     @pytest.mark.parametrize("n", [1, 2, 5, 10])
     def test_column_sums_zero(self, n):
         assert np.abs(generator(n).matrix.sum(axis=0)).max() == 0.0
+
+    def test_caller_matrix_stays_writable(self):
+        mat = np.array([[-1.0, 0.0], [1.0, 0.0]])
+        gen = CascadeGenerator(1, mat)
+        mat[0, 0] = 5.0
+        assert gen.matrix[0, 0] == -1.0
+        assert not gen.matrix.flags.writeable
 
     def test_sign_structure(self):
         mat = generator(6).matrix
@@ -116,6 +124,13 @@ class TestTrajectory:
         table = trajectory(4, grid).populations_table()
         peaks = [grid[np.argmax(table[:, n0])] for n0 in (1, 2, 3)]
         assert peaks[0] < peaks[1] < peaks[2]
+
+    def test_caller_grid_stays_writable(self):
+        grid = np.array([0.1, 0.5])
+        traj = trajectory(3, grid)
+        grid[0] = 0.2
+        assert traj.tau_grid[0] == 0.1
+        assert not traj.tau_grid.flags.writeable
 
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):

@@ -8,14 +8,12 @@ from scipy.integrate import quad
 from gdscert import (
     gds_volume,
     j_max,
-    merge_estimates,
     ppt_gds_volume,
     sample_gds_simplex,
     sds_volume_formula,
     sds_volume_mc,
 )
 from gdscert.volume import (
-    _estimate_from_sums,
     jacobian_general,
     jacobian_n4,
     ppt_pass_mask,
@@ -97,27 +95,27 @@ class TestPptVolume:
         b = ppt_gds_volume(3, 60_000, seed=9)
         assert a == b
 
-    @pytest.mark.parametrize("chunk_size", [0, -5])
-    def test_bad_chunk_size_rejected(self, chunk_size):
-        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
-            ppt_gds_volume(4, 10, seed=1, chunk_size=chunk_size)
+    def test_multi_chunk_estimate_pinned(self):
+        # N = 6 runs in chunks of 8192, 8192 and 3616 samples, so this pins
+        # how the chunks' sums combine
+        est = ppt_gds_volume(6, 20_000, seed=20261018)
+        assert est.mean == 4.652777777777778e-06
+        assert est.std_error == 5.67474361402139e-07
 
     def test_chunk_merge_matches_single_run(self):
-        n, total, chunk = 3, 90_000, 30_000
-        full = ppt_gds_volume(n, total, seed=11, chunk_size=chunk)
-        parts = []
-        for ss in np.random.SeedSequence(11).spawn(3):
-            rng = np.random.default_rng(ss)
-            chis = sample_chis(n, rng, chunk)
-            n_pass = int(ppt_pass_mask(n, chis).sum())
-            parts.append(_estimate_from_sums(
-                float(n_pass), float(n_pass), chunk, float(gds_volume(n)),
-                11, "MC-indicator",
-            ))
-        merged = merge_estimates(parts)
-        assert merged.mean == full.mean
-        assert merged.std_error == full.std_error
-        assert merged.n_samples == full.n_samples
+        # N = 3 runs in chunks of 100_000, 100_000 and 50_000 samples, each
+        # drawn from its own stream of SeedSequence(seed)
+        n, total, seed = 3, 250_000, 11
+        full = ppt_gds_volume(n, total, seed=seed)
+        n_pass = 0
+        for m, ss in zip((100_000, 100_000, 50_000), np.random.SeedSequence(seed).spawn(3)):
+            chis = sample_chis(n, np.random.default_rng(ss), m)
+            n_pass += int(ppt_pass_mask(n, chis).sum())
+        frac = n_pass / total
+        scale = float(gds_volume(n))
+        assert full.mean == scale * frac
+        assert full.std_error == scale * np.sqrt(max(frac - frac**2, 0.0) / total)
+        assert full.n_samples == total
 
 
 class TestJacobian:
@@ -192,10 +190,11 @@ class TestSdsVolumeMc:
         target = float(sds_volume_formula(n))
         assert abs(est.mean - target) <= 4 * est.std_error + 1e-12
 
-    @pytest.mark.parametrize("chunk_size", [0, -5])
-    def test_bad_chunk_size_rejected(self, chunk_size):
-        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
-            sds_volume_mc(4, 10, seed=1, chunk_size=chunk_size)
+    def test_multi_chunk_estimate_pinned(self):
+        # three chunks of 100_000 samples and one of a single sample
+        est = sds_volume_mc(5, 250_001, seed=20261018)
+        assert est.mean == 0.0001632902750628383
+        assert est.std_error == 5.738578337545649e-06
 
     def test_reproducibility(self):
         a = sds_volume_mc(4, 50_000, seed=12)
@@ -212,8 +211,8 @@ def test_volume_ordering():
         assert ppt_est.mean <= float(gds_volume(n)) + 1e-15
 
 
-def test_merge_rejects_mixed_methods():
-    a = ppt_gds_volume(2, 10_000, seed=1)
-    b = sds_volume_mc(2, 10_000, seed=1)
-    with pytest.raises(ValueError):
-        merge_estimates([a, b])
+
+@pytest.mark.parametrize("estimator", [ppt_gds_volume, sds_volume_mc])
+def test_zero_samples_rejected(estimator):
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        estimator(4, 0, seed=1)
