@@ -28,7 +28,6 @@ from .decompose import (
     to_power_moments,
 )
 from .superrad import (
-    CascadeGenerator,
     Trajectory,
     closed_form_n4,
     closed_form_n8,
@@ -48,7 +47,6 @@ from .volume import (
 
 __all__ = [
     "CapacityError",
-    "CascadeGenerator",
     "CertificationResult",
     "GDSState",
     "PptReport",

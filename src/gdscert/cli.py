@@ -16,7 +16,7 @@ import click
 import numpy as np
 
 from . import decompose, ppt, superrad, volume
-from .states import GDSState, j_max
+from .states import GDSState, check_tolerance, j_max
 
 OUTDIR_ENV = "GDSCERT_OUTDIR"
 
@@ -57,9 +57,10 @@ def _parse_tau_grid(spec: str) -> np.ndarray:
 
 
 def _check_tol(ctx, param, value: float) -> float:
-    # NaN compares False with everything, so it would pass every verdict check
-    if not 0.0 <= value < np.inf:
-        raise click.BadParameter(f"must be finite and >= 0, got {value!r}")
+    try:
+        check_tolerance(value)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
     return value
 
 
@@ -72,22 +73,18 @@ def _load_state(chi_file: str) -> GDSState:
         raise click.UsageError(f"cannot read state from {chi_file}: {exc}")
 
 
-def _state_source(n_qubits, chi_file, tau_spec, announce=lambda n: None):
+def _state_source(n_qubits, chi_file, tau_spec):
     """The states ``certify`` and ``ppt`` test, as ``(state, sweep)``.
 
     ``state`` is read from ``--chi-file``, or ``sweep`` holds the (tau,
     state) pairs of the ``--superrad-tau`` cascade; the other is None.
-    ``announce(N)`` runs once N is known, before the grid is parsed.
     """
     if (chi_file is None) == (tau_spec is None):
         raise click.UsageError("provide exactly one of --chi-file or --superrad-tau")
     if chi_file is not None:
-        state = _load_state(chi_file)
-        announce(state.n_qubits)
-        return state, None
+        return _load_state(chi_file), None
     if n_qubits is None:
         raise click.UsageError("--superrad-tau needs --n")
-    announce(n_qubits)
     grid = _parse_tau_grid(tau_spec)
     return None, list(zip(grid, superrad.trajectory(n_qubits, grid).states))
 
@@ -137,15 +134,6 @@ def cmd_superrad(n_qubits, tau_spec, out, fmt):
         _emit(_resolve_out(out), json.dumps(payload, indent=2) + "\n")
 
 
-def _certify_caveat(n_qubits: int):
-    if n_qubits >= 5:
-        click.echo(
-            f"note: for N={n_qubits} >= 5 a NotCertified verdict is not a proof "
-            "of entanglement (criterion completeness is conjectural)",
-            file=sys.stderr,
-        )
-
-
 @main.command("certify")
 @click.option("--n", "n_qubits", type=click.IntRange(min=1), default=None,
               help="Number of qubits.")
@@ -156,10 +144,11 @@ def _certify_caveat(n_qubits: int):
               callback=_check_tol, help="Residual and [0, 1] range tolerance.")
 @click.option("--out", default=None, help="Output file (default: stdout).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
+              show_default=True,
+              help="Format of a --superrad-tau sweep; a --chi-file result is always JSON.")
 def cmd_certify(n_qubits, chi_file, tau_spec, tol, out, fmt):
     """Certify separability of a state or a superradiant sweep."""
-    state, sweep = _state_source(n_qubits, chi_file, tau_spec, announce=_certify_caveat)
+    state, sweep = _state_source(n_qubits, chi_file, tau_spec)
     if state is not None:
         result = decompose.certify(state, epsilon=tol)
         _emit(_resolve_out(out), json.dumps(result.to_json_dict(), indent=2) + "\n")

@@ -7,6 +7,15 @@ Hankel matrices of p written in the Bernstein basis (a Gauss, or for even N
 Gauss-Radau, quadrature rule; Golub & Welsch, Math. Comp. 23 (1969)); the
 weights follow from a linear least-squares solve back in population space.
 For even N one node is pinned at y = 0.
+
+The ansatz is complete at every N: a Dicke-diagonal state is separable iff p
+is the Bernstein moment sequence of a probability measure on [0, 1], whose
+lower principal representation has at most j_max atoms, one at y = 0 for even
+N (Karlin & Studden, Tchebycheff Systems, 1966); these are also the PPT
+conditions (Yu, PRA 94, 060101(R) (2016)).  So ``NotCertified`` means
+entangled, except within the tolerance of the separable boundary and for two
+known endpoint failures, separable states with nodes crowded at one end of
+[0, 1] (N = 24, draw 206 of default_rng(24); N = 27, draw 321 of default_rng(27)).
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ REASON_DEGENERATE = "SolverDegenerate"
 
 DEFAULT_EPSILON = 1e-9
 _NEGLIGIBLE_WEIGHT = 1e-12
+_BOUND_ROUNDOFF = 1e-12
 
 
 class SolverDegenerateError(RuntimeError):
@@ -66,11 +76,10 @@ class SDSDecomposition:
 
 @dataclass(frozen=True)
 class CertificationResult:
-    """Outcome of the sufficiency test on the solved decomposition.
+    """Outcome of the test on the solved decomposition.
 
-    ``NotCertified`` is NOT a proof of entanglement for N >= 5: the
-    coincidence of this criterion with separability is proven only for
-    N <= 4 and remains conjectural above that.
+    ``NotCertified`` means entangled, up to the tolerance and the endpoint
+    failures named in the module docstring.
     """
 
     verdict: str
@@ -215,8 +224,8 @@ def certify(state: GDSState, epsilon: float = DEFAULT_EPSILON) -> CertificationR
     CertifiedSeparable iff the solved mixture reproduces chi within
     ``epsilon`` (max-norm residual) and every x_j, y_j lies in
     [-epsilon, 1+epsilon]; the certificate carries the values clamped to
-    [0, 1].  For N >= 5 a NotCertified verdict is *not* a proof
-    of entanglement (the completeness of the ansatz is conjectural there).
+    [0, 1].  The test is necessary as well as sufficient (see the module
+    docstring).
     """
     check_tolerance(epsilon)
     try:
@@ -265,7 +274,7 @@ def population_bound(n_qubits: int, n0: int) -> float:
     return float(exact)
 
 
-def check_population_bounds(state: GDSState, tol: float = 1e-12) -> list:
+def check_population_bounds(state: GDSState) -> list:
     """Violations (n0, chi, bound) of the necessary separability bound.
 
     Any violation proves entanglement; an empty list proves nothing.
@@ -273,6 +282,6 @@ def check_population_bounds(state: GDSState, tol: float = 1e-12) -> list:
     violations = []
     for n0, chi in enumerate(state.populations):
         bound = population_bound(state.n_qubits, n0)
-        if chi > bound + tol:
+        if chi > bound + _BOUND_ROUNDOFF:
             violations.append((n0, float(chi), bound))
     return violations

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import ceil, comb
+from numbers import Integral
 
 import numpy as np
 
@@ -29,14 +30,21 @@ def j_max(n_qubits: int) -> int:
 
 
 def check_tolerance(tol: float) -> None:
-    """Raise ValueError unless ``tol`` >= 0.
+    """Raise ValueError unless ``tol`` is finite and >= 0.
 
-    A NaN tolerance compares False with everything, so it would pass every
-    verdict check.  +inf is allowed: it accepts every state, which makes a
-    constant-true indicator for the volume estimators.
+    The one tolerance rule of the library and the CLI.  A NaN tolerance
+    compares False with everything, so it would pass every verdict check,
+    and +inf would accept every state.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"tolerance must be >= 0, got {tol!r}")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"must be finite and >= 0, got {tol!r}")
+
+
+def _qubit_count(n_qubits) -> int:
+    """``n_qubits`` as a Python int; a float or bool is rejected, not truncated."""
+    if isinstance(n_qubits, bool) or not isinstance(n_qubits, Integral) or n_qubits < 1:
+        raise ValueError(f"n_qubits must be a positive integer, got {n_qubits!r}")
+    return int(n_qubits)
 
 
 @dataclass(frozen=True)
@@ -51,8 +59,7 @@ class GDSState:
     populations: np.ndarray
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be a positive integer")
+        object.__setattr__(self, "n_qubits", _qubit_count(self.n_qubits))
         chi = np.array(self.populations, dtype=float)
         if chi.shape != (self.n_qubits + 1,):
             raise ValueError(
@@ -95,6 +102,7 @@ class SDSParams:
     terms: tuple = field()
 
     def __post_init__(self):
+        object.__setattr__(self, "n_qubits", _qubit_count(self.n_qubits))
         jm = j_max(self.n_qubits)
         terms = tuple((float(x), float(y)) for x, y in self.terms)
         if len(terms) != jm:

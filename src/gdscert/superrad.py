@@ -27,19 +27,6 @@ def _zero_roundoff(chi: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CascadeGenerator:
-    """Lower-bidiagonal rate matrix over the n0 index; columns sum to zero."""
-
-    n_qubits: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=float)
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Superradiant populations on an ascending grid of dimensionless times."""
 
@@ -52,8 +39,9 @@ class Trajectory:
         return np.array([s.populations for s in self.states])
 
 
-def generator(n_qubits: int) -> CascadeGenerator:
-    """Cascade generator for N qubits, assembled in exact integer arithmetic."""
+def generator(n_qubits: int) -> np.ndarray:
+    """Cascade rate matrix over the n0 index (lower bidiagonal, zero column
+    sums), assembled in exact integers and returned read-only as floats."""
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
     n = n_qubits
@@ -64,7 +52,9 @@ def generator(n_qubits: int) -> CascadeGenerator:
         if n0 >= 1:
             mat[n0, n0 - 1] = n0 * (n1 + 1)
     assert (mat.sum(axis=0) == 0).all()
-    return CascadeGenerator(n_qubits=n, matrix=mat)
+    out = mat.astype(float)
+    out.setflags(write=False)
+    return out
 
 
 def evolve(n_qubits: int, tau: float) -> GDSState:
@@ -122,6 +112,8 @@ def trajectory(n_qubits: int, tau_grid) -> Trajectory:
     grid = np.array(tau_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise ValueError("tau_grid must be a nonempty 1-D sequence")
+    if not np.isfinite(grid).all():
+        raise ValueError("tau_grid must be finite")
     if grid[0] < 0 or np.any(np.diff(grid) <= 0):
         raise ValueError("tau_grid must be ascending and nonnegative")
     gen = generator(n_qubits)
@@ -129,7 +121,7 @@ def trajectory(n_qubits: int, tau_grid) -> Trajectory:
     chi0[0] = 1.0
     states = []
     for tau in grid:
-        chi = expm(tau * gen.matrix) @ chi0
+        chi = expm(tau * gen) @ chi0
         states.append(GDSState(n_qubits=n_qubits, populations=chi))
     grid.setflags(write=False)
     return Trajectory(n_qubits=n_qubits, tau_grid=grid, states=tuple(states))

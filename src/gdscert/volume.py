@@ -13,13 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from numbers import Integral
 
 import numpy as np
 
 # partial_transpose is re-exported: the traced benchmark run
 # (perfbench/tracing.py) patches it here.
 from .ppt import DEFAULT_EIG_TOL, partial_transpose, pt_min_eigenvalues  # noqa: F401
-from .states import GDSState, bernstein, check_tolerance, j_max
+from .states import GDSState, bernstein, j_max
 
 METHOD_INDICATOR = "MC-indicator"
 METHOD_JACOBIAN = "MC-jacobian"
@@ -43,11 +44,14 @@ class VolumeEstimate:
     method: str
 
     def to_json_dict(self) -> dict:
+        seed = self.seed
+        if seed is not None:
+            seed = int(seed) if isinstance(seed, Integral) else str(seed)
         return {
             "mean": self.mean,
             "std_error": self.std_error,
             "n_samples": self.n_samples,
-            "seed": self.seed if isinstance(self.seed, (int, type(None))) else str(self.seed),
+            "seed": seed,
             "method": self.method,
         }
 
@@ -120,17 +124,15 @@ def sds_volume_formula(n_qubits: int) -> Fraction:
     return out
 
 
-def ppt_pass_mask(n_qubits: int, chis: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> np.ndarray:
-    """Boolean PPT verdict for a batch of population rows (vectorized)."""
-    check_tolerance(tol)
+def ppt_pass_mask(n_qubits: int, chis: np.ndarray) -> np.ndarray:
+    """Batched ``is_ppt`` verdict (at ``DEFAULT_EIG_TOL``) of population rows."""
     ok = np.ones(len(chis), dtype=bool)
     for k in range(1, n_qubits // 2 + 1):
-        ok &= pt_min_eigenvalues(n_qubits, chis, k) >= -tol
+        ok &= pt_min_eigenvalues(n_qubits, chis, k) >= -DEFAULT_EIG_TOL
     return ok
 
 
-def ppt_gds_volume(n_qubits: int, n_samples: int, seed: int,
-                   tol: float = DEFAULT_EIG_TOL) -> VolumeEstimate:
+def ppt_gds_volume(n_qubits: int, n_samples: int, seed: int) -> VolumeEstimate:
     """Monte-Carlo volume of the PPT region of GDS states.
 
     Fraction of uniform simplex samples passing every partial-transpose
@@ -138,7 +140,7 @@ def ppt_gds_volume(n_qubits: int, n_samples: int, seed: int,
     """
     def draw(rng, m):
         chis = sample_chis(n_qubits, rng, m)
-        return ppt_pass_mask(n_qubits, chis, tol).astype(float)
+        return ppt_pass_mask(n_qubits, chis).astype(float)
 
     # The chunk sizes fix which samples each per-chunk seed stream draws,
     # so changing this rule would change every estimate at N >= 5,

@@ -213,10 +213,10 @@ class TestCertify:
             assert result.certificate.residual <= 1e-9
             assert abs(result.certificate.weights.sum() - 1.0) <= 1e-9
 
-    @pytest.mark.parametrize("epsilon", [float("nan"), -1e-9])
+    @pytest.mark.parametrize("epsilon", [float("nan"), -1e-9, np.inf])
     def test_bad_tolerance_rejected(self, epsilon):
-        # with a NaN tolerance every range check is False, so the entangled
-        # |D_2> would come back certified
+        # a NaN tolerance makes every range check False and an infinite one
+        # makes every check pass, so the entangled |D_2> would come back certified
         with pytest.raises(ValueError):
             certify(GDSState(4, [0, 0, 1, 0, 0]), epsilon=epsilon)
 

@@ -103,7 +103,7 @@ class TestIsPpt:
         # C(8,4) C(8,3) / C(16,8) = 0.3046 with zero diagonal
         assert report.min_eigenvalues[8] == pytest.approx(-3920 / 12870, abs=1e-12)
 
-    @pytest.mark.parametrize("tol", [float("nan"), -1e-10])
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-10, np.inf])
     def test_bad_tolerance_rejected(self, tol):
         with pytest.raises(ValueError):
             is_ppt(GDSState(2, [0, 1, 0]), tol=tol)

@@ -79,6 +79,14 @@ class TestGDSState:
         assert st.populations[0] == 0.25
         assert not st.populations.flags.writeable
 
+    @pytest.mark.parametrize("n, chi", [(4.0, [0.2] * 5), (True, [0.5, 0.5])])
+    def test_rejects_float_or_bool_qubit_count(self, n, chi):
+        with pytest.raises(ValueError, match="n_qubits"):
+            GDSState(n, chi)
+
+    def test_numpy_integer_qubit_count_stored_as_int(self):
+        assert type(GDSState(np.int64(4), [0.2] * 5).n_qubits) is int
+
     def test_json_round_trip(self):
         st = GDSState(3, [0.1, 0.2, 0.3, 0.4])
         again = GDSState.from_json_dict(st.to_json_dict())
@@ -130,6 +138,15 @@ class TestSDSParams:
     def test_weight_normalization(self):
         with pytest.raises(ValueError):
             SDSParams(3, ((0.5, 0.3), (0.4, 0.7)))
+
+    @pytest.mark.parametrize("n, terms", [(3.0, ((0.5, 0.3), (0.5, 0.7))),
+                                          (True, ((1.0, 0.3),))])
+    def test_rejects_float_or_bool_qubit_count(self, n, terms):
+        with pytest.raises(ValueError, match="n_qubits"):
+            SDSParams(n, terms)
+
+    def test_numpy_integer_qubit_count_stored_as_int(self):
+        assert type(SDSParams(np.int64(3), ((0.5, 0.3), (0.5, 0.7))).n_qubits) is int
 
 
 class TestSDSPopulations:

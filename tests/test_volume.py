@@ -13,6 +13,7 @@ from gdscert import (
     sds_volume_formula,
     sds_volume_mc,
 )
+from gdscert import volume
 from gdscert.volume import (
     jacobian_general,
     jacobian_n4,
@@ -61,15 +62,11 @@ class TestAnalyticVolumes:
 
 
 class TestPptVolume:
-    def test_constant_true_indicator_recovers_simplex_volume(self):
-        est = ppt_gds_volume(4, 50_000, seed=3, tol=np.inf)
+    def test_constant_true_indicator_recovers_simplex_volume(self, monkeypatch):
+        monkeypatch.setattr(volume, "ppt_pass_mask", lambda n, chis: np.ones(len(chis), bool))
+        est = ppt_gds_volume(4, 50_000, seed=3)
         assert est.mean == pytest.approx(1 / 24, abs=1e-15)
         assert est.std_error == 0.0
-
-    @pytest.mark.parametrize("tol", [float("nan"), -1e-10])
-    def test_bad_tolerance_rejected(self, tol):
-        with pytest.raises(ValueError):
-            ppt_pass_mask(2, np.array([[0.0, 1.0, 0.0]]), tol=tol)
 
     def test_n2_against_exact_integral(self):
         # PPT region of the N=2 simplex: chi0 chi2 >= chi1^2 / 4.  In
@@ -210,6 +207,12 @@ def test_volume_ordering():
         assert sds <= ppt_est.mean + 3 * ppt_est.std_error
         assert ppt_est.mean <= float(gds_volume(n)) + 1e-15
 
+
+
+@pytest.mark.parametrize("estimator", [ppt_gds_volume, sds_volume_mc])
+def test_numpy_integer_seed_is_json_integer(estimator):
+    seed = estimator(4, 100, seed=np.int64(3)).to_json_dict()["seed"]
+    assert seed == 3 and type(seed) is int
 
 
 @pytest.mark.parametrize("estimator", [ppt_gds_volume, sds_volume_mc])
