@@ -18,6 +18,12 @@ the state has no support.  The spectrum is therefore exact, not merely
 congruent, so a negative block eigenvalue is itself a negative eigenvalue
 of rho^{T_k}; see Tura et al., Quantum 2, 45 (2018).  The dense
 ``partial_transpose`` of ``gds_density_matrix`` is kept as the test oracle.
+
+``pt_min_eigenvalues`` computes the block spectra (``is_ppt`` reports
+them).  ``ppt_pass_mask`` only needs the verdict at tol = DEFAULT_EIG_TOL
+and decides it from a Cholesky elimination: lambda_min >= -tol <=>
+Cholesky of every block + tol*I succeeds (all pivots positive), up to the
+measure-zero case lambda_min = -tol; the zero block always passes.
 """
 
 from __future__ import annotations
@@ -121,6 +127,35 @@ def pt_min_eigenvalues(n_qubits: int, chis: np.ndarray, k: int) -> np.ndarray:
     if (k + 1) * (n_qubits - k + 1) < 1 << n_qubits:
         mins = np.minimum(mins, 0.0)
     return mins
+
+
+def ppt_pass_mask(n_qubits: int, chis: np.ndarray) -> np.ndarray:
+    """Batched ``is_ppt`` verdict (at ``DEFAULT_EIG_TOL``) of population rows.
+
+    A row passes iff lambda_min(rho^{T_k}) >= -tol for every k, decided
+    without an eigenvalue: the zero block always passes, and a Dicke block
+    H has lambda_min(H) >= -tol iff H + tol*I is positive definite (up to
+    the measure-zero case of equality), i.e. iff every pivot of its
+    Cholesky elimination is positive.  The elimination runs column by
+    column on all blocks of a size at once.
+    """
+    ok = np.ones(len(chis), dtype=bool)
+    for k in range(1, n_qubits // 2 + 1):
+        for a in _pt_blocks(n_qubits, chis, k):
+            s = a.shape[-1]
+            diag = np.arange(s)
+            a[..., diag, diag] += DEFAULT_EIG_TOL
+            good = np.ones(a.shape[:-2], dtype=bool)
+            for j in range(s):
+                d = a[..., j, j]
+                pos = d > 0
+                good &= pos
+                # a failed pivot is replaced by 1, so that its row divides
+                # without a warning; the row's verdict is already False
+                col = a[..., j + 1:, j] / np.where(pos, d, 1.0)[..., None]
+                a[..., j + 1:, j + 1:] -= col[..., :, None] * a[..., j, None, j + 1:]
+            ok &= good.all(axis=1)
+    return ok
 
 
 def is_ppt(state: GDSState, tol: float = DEFAULT_EIG_TOL) -> PptReport:

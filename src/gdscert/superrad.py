@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .states import GDSState
 
@@ -109,6 +108,10 @@ def closed_form_n8(tau: float) -> GDSState:
 
 def trajectory(n_qubits: int, tau_grid) -> Trajectory:
     """Evaluate the cascade on an ascending nonnegative time grid."""
+    # imported here, its only use: scipy doubles the memory and start-up
+    # time of ``import gdscert``
+    from scipy.linalg import expm
+
     grid = np.array(tau_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise ValueError("tau_grid must be a nonempty 1-D sequence")

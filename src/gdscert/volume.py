@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, sqrt
 from numbers import Integral
 
 import numpy as np
 
-# partial_transpose is re-exported: the traced benchmark run
-# (perfbench/tracing.py) patches it here.
-from .ppt import DEFAULT_EIG_TOL, partial_transpose, pt_min_eigenvalues  # noqa: F401
+# partial_transpose and ppt_pass_mask are re-exported: the traced benchmark
+# run (perfbench/tracing.py) patches them here.
+from .ppt import partial_transpose, ppt_pass_mask  # noqa: F401
 from .states import GDSState, bernstein, j_max
 
 METHOD_INDICATOR = "MC-indicator"
@@ -76,7 +76,7 @@ def _mc_estimate(n_samples, chunk_size, seed, scale, method, draw) -> VolumeEsti
     var_raw = max(acc_sumsq / n_samples - mean_raw**2, 0.0)
     return VolumeEstimate(
         mean=scale * mean_raw,
-        std_error=scale * np.sqrt(var_raw / n_samples),
+        std_error=scale * sqrt(var_raw / n_samples),
         n_samples=n_samples,
         seed=seed,
         method=method,
@@ -122,14 +122,6 @@ def sds_volume_formula(n_qubits: int) -> Fraction:
     for z in range(1, n_qubits + 1):
         out *= Fraction(z ** (z - 1) * factorial(z - 1), factorial(2 * z - 1))
     return out
-
-
-def ppt_pass_mask(n_qubits: int, chis: np.ndarray) -> np.ndarray:
-    """Batched ``is_ppt`` verdict (at ``DEFAULT_EIG_TOL``) of population rows."""
-    ok = np.ones(len(chis), dtype=bool)
-    for k in range(1, n_qubits // 2 + 1):
-        ok &= pt_min_eigenvalues(n_qubits, chis, k) >= -DEFAULT_EIG_TOL
-    return ok
 
 
 def ppt_gds_volume(n_qubits: int, n_samples: int, seed: int) -> VolumeEstimate:

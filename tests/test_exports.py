@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import gdscert
 
 
@@ -11,3 +16,10 @@ def test_star_import():
     namespace = {}
     exec("from gdscert import *", namespace)
     assert set(gdscert.__all__) <= namespace.keys()
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is needed only by superrad.trajectory, which imports it itself
+    code = "import sys, gdscert, gdscert.cli; sys.exit('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(gdscert.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

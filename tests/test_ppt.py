@@ -1,3 +1,4 @@
+import warnings
 from math import comb
 
 import numpy as np
@@ -15,8 +16,9 @@ from gdscert import (
     random_sds_params,
     sds_populations,
 )
+from gdscert import ppt
 from gdscert.ppt import DEFAULT_EIG_TOL, _pt_blocks, pt_min_eigenvalues
-from gdscert.states import is_hermitian
+from gdscert.states import bernstein, is_hermitian
 from gdscert.volume import ppt_pass_mask, sample_chis
 
 
@@ -182,16 +184,59 @@ class TestDickeBlocks:
             pt_min_eigenvalues(4, np.full((1, 5), 0.2), 4)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
-    n=st.integers(min_value=2, max_value=6),
-    raw=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=7, max_size=7),
+    n=st.integers(min_value=2, max_value=12),
+    raw=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=13, max_size=13),
+    mix=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_pass_mask_matches_dense_oracle(n, raw):
+def test_pass_mask_matches_dense_oracle(n, raw, mix, seed):
     weights = np.array(raw[: n + 1])
     assume(weights.sum() > 0.0)
-    chi = weights / weights.sum()
-    dense_min = min(s[0] for s in dense_pt_spectra(chi, range(1, n // 2 + 1)).values())
-    margin = dense_min + DEFAULT_EIG_TOL
+    # mixing in a separable state reaches the PPT region, which simplex
+    # points alone almost never hit for N >= 7
+    separable = sds_populations(random_sds_params(n, np.random.default_rng(seed)))
+    chi = (1.0 - mix) * weights / weights.sum() + mix * separable.populations
+    splits = range(1, n // 2 + 1)
+    if n <= 6:
+        low = min(s[0] for s in dense_pt_spectra(chi, splits).values())
+    else:
+        # the dense spectra cost 2^N x 2^N eigensolves; the block spectra
+        # equal them (TestDickeBlocks)
+        low = min(pt_min_eigenvalues(n, chi[None], k)[0] for k in splits)
+    margin = low + DEFAULT_EIG_TOL
     if abs(margin) > 1e-12:
         assert bool(ppt_pass_mask(n, chi[None])[0]) == (margin > 0)
+
+
+class TestCholeskyMask:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_product_states_pass(self, n):
+        # the Hankel blocks of one product state are rank 1: singular, so
+        # only the tolerance makes their Cholesky pivots positive
+        ys = np.concatenate([[0.0, 1.0, 0.5], np.linspace(0.01, 0.99, 97)])
+        chis = bernstein(n, ys).T
+        assert ppt_pass_mask(n, chis).all()
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_sparse_rows_raise_no_warning(self, n):
+        rng = np.random.default_rng(200 + n)
+        chis = rng.dirichlet(np.ones(n + 1), size=400)
+        chis[rng.random(chis.shape) < 0.6] = 0.0
+        chis = np.concatenate([chis, np.eye(n + 1)])
+        chis = chis[chis.sum(axis=1) > 0]
+        chis /= chis.sum(axis=1, keepdims=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ppt_pass_mask(n, chis)
+
+    def test_zero_pivot_raises_no_warning(self, monkeypatch):
+        # 2|2 split, delta = 0 block W H W + tol I with p = (0, 1/16, 0, ...):
+        # [[tol, 1/8, 0], [1/8, tol, ..], ..] has second pivot
+        # tol - (1/8)^2 / tol = 0 exactly at tol = 1/8
+        monkeypatch.setattr(ppt, "DEFAULT_EIG_TOL", 0.125)
+        chi = np.array([[0.0, 0.25, 0.0, 0.5, 0.25]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not ppt_pass_mask(4, chi)[0]

@@ -87,6 +87,19 @@ class TestPptVolume:
         # the value the dense 2^N eigensolves gave for these arguments
         assert ppt_gds_volume(4, 50_000, seed=20260823).mean == 0.0038541666666666663
 
+    @pytest.mark.parametrize("n, mean, std_error", [
+        (2, 0.332255, 0.0007465528445796721),
+        (5, 0.00016324999999999998, 3.6520762644921126e-06),
+        (7, 4.761904761904762e-08, 9.71903089831588e-09),
+        (8, 7.440476190476191e-10, 4.2956964945731776e-10),
+    ])
+    def test_estimates_pinned_across_chunk_sizes(self, n, mean, std_error):
+        # one chunk at N = 2, chunks of 32768 at N = 5, 2048 at N = 7 and
+        # 1000 at N = 8; the values the eigenvalue mask gave
+        est = ppt_gds_volume(n, 100_000, seed=3)
+        assert (est.mean, est.std_error) == (mean, std_error)
+        assert type(est.mean) is float and type(est.std_error) is float
+
     def test_reproducibility(self):
         a = ppt_gds_volume(3, 60_000, seed=9)
         b = ppt_gds_volume(3, 60_000, seed=9)
@@ -192,6 +205,7 @@ class TestSdsVolumeMc:
         est = sds_volume_mc(5, 250_001, seed=20261018)
         assert est.mean == 0.0001632902750628383
         assert est.std_error == 5.738578337545649e-06
+        assert type(est.std_error) is float
 
     def test_reproducibility(self):
         a = sds_volume_mc(4, 50_000, seed=12)
