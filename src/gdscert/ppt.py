@@ -1,8 +1,8 @@
 """Partial-transpose positivity tests for diagonal-symmetric states.
 
 By permutation symmetry only the block sizes k = 1..floor(N/2) give
-inequivalent bipartitions; for N=4 these are exactly the 1|3 and 2|2
-splits, and both are needed (neither implies the other).
+inequivalent bipartitions; for N=4 these are the 1|3 and 2|2 splits.  For
+these states the middle split decides all of them (see below).
 
 Verdicts never build a 2^N x 2^N matrix.  Write p_n = chi[n] / C(N, n).
 For the split k | N-k, rho^{T_k} is orthogonally similar to
@@ -19,11 +19,19 @@ congruent, so a negative block eigenvalue is itself a negative eigenvalue
 of rho^{T_k}; see Tura et al., Quantum 2, 45 (2018).  The dense
 ``partial_transpose`` of ``gds_density_matrix`` is kept as the test oracle.
 
+Each block is congruent (W > 0 is diagonal) to a principal submatrix of
+H0 = [p_{i+j}] or H1 = [p_{i+j+1}], which are themselves the delta = 0 and
+delta = -1 blocks of the middle split k = floor(N/2): put a = b +
+ceil(delta/2).  So PSD of those two blocks decides PPT for every split (Yu,
+PRA 94, 060101(R) (2016)); it is also the truncated Hausdorff moment
+condition, so PPT is separability here.
+
 ``pt_min_eigenvalues`` computes the block spectra (``is_ppt`` reports
-them).  ``ppt_pass_mask`` only needs the verdict at tol = DEFAULT_EIG_TOL
-and decides it from a Cholesky elimination: lambda_min >= -tol <=>
-Cholesky of every block + tol*I succeeds (all pivots positive), up to the
-measure-zero case lambda_min = -tol; the zero block always passes.
+them).  ``ppt_pass_mask`` decides "lambda_min >= -tol on the two
+middle-split blocks" at tol = DEFAULT_EIG_TOL by a Cholesky elimination of
+each + tol*I.  Every row ``is_ppt`` passes at that tol passes the mask; the
+converse can fail only where a smaller block's lambda_min lies in a thin
+band below -tol, its weights differing from the middle split's.
 """
 
 from __future__ import annotations
@@ -79,18 +87,16 @@ def partial_transpose(rho: np.ndarray, k: int, n_qubits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _block_tables(n_qubits: int, k: int) -> tuple:
-    """Index and weight tables of the Dicke blocks of rho^{T_k}.
+def _block_tables(n_qubits: int, k: int, deltas: tuple) -> tuple:
+    """Index and weight tables of the ``deltas`` Dicke blocks of rho^{T_k}.
 
     One ``(idx, w)`` pair per block size s, each of shape (c, s, s) for the
     c blocks of that size: block entries are ``p[idx] * w``.  The arrays
     are shared between callers and therefore read-only.
     """
-    if not 1 <= k <= n_qubits - 1:
-        raise ValueError(f"k must be in 1..{n_qubits - 1}, got {k}")
     rest = n_qubits - k
     by_size = defaultdict(lambda: ([], []))
-    for delta in range(-rest, k + 1):
+    for delta in deltas:
         a = np.arange(max(0, delta), min(k, rest + delta) + 1)
         w = np.sqrt([float(comb(k, i) * comb(rest, i - delta)) for i in a])
         idx, ws = by_size[len(a)]
@@ -110,8 +116,11 @@ def _pt_blocks(n_qubits: int, chis: np.ndarray, k: int) -> list:
 
     ``chis`` is (m, N+1); returns one (m, c, s, s) stack per block size s.
     """
+    if not 1 <= k <= n_qubits - 1:
+        raise ValueError(f"k must be in 1..{n_qubits - 1}, got {k}")
     p = np.asarray(chis, dtype=float) / binomials(n_qubits)
-    return [p[:, idx] * w for idx, w in _block_tables(n_qubits, k)]
+    deltas = tuple(range(k - n_qubits, k + 1))
+    return [p[:, idx] * w for idx, w in _block_tables(n_qubits, k, deltas)]
 
 
 def pt_min_eigenvalues(n_qubits: int, chis: np.ndarray, k: int) -> np.ndarray:
@@ -130,31 +139,34 @@ def pt_min_eigenvalues(n_qubits: int, chis: np.ndarray, k: int) -> np.ndarray:
 
 
 def ppt_pass_mask(n_qubits: int, chis: np.ndarray) -> np.ndarray:
-    """Batched ``is_ppt`` verdict (at ``DEFAULT_EIG_TOL``) of population rows.
+    """Batched PPT verdict (at ``DEFAULT_EIG_TOL``) of population rows.
 
-    A row passes iff lambda_min(rho^{T_k}) >= -tol for every k, decided
-    without an eigenvalue: the zero block always passes, and a Dicke block
-    H has lambda_min(H) >= -tol iff H + tol*I is positive definite (up to
-    the measure-zero case of equality), i.e. iff every pivot of its
-    Cholesky elimination is positive.  The elimination runs column by
-    column on all blocks of a size at once.
+    The contract is exactly "lambda_min >= -tol on the two middle-split
+    blocks": delta = 0 and delta = -1 of k = floor(N/2), that is W H0 W and
+    W H1 W, which decide PPT for every split (module docstring).  No
+    eigenvalue is computed: lambda_min(B) >= -tol iff B + tol*I is positive
+    definite (up to the measure-zero case of equality), i.e. iff every pivot
+    of its Cholesky elimination is positive.  The elimination runs column by
+    column on all rows at once.
     """
-    ok = np.ones(len(chis), dtype=bool)
-    for k in range(1, n_qubits // 2 + 1):
-        for a in _pt_blocks(n_qubits, chis, k):
-            s = a.shape[-1]
-            diag = np.arange(s)
-            a[..., diag, diag] += DEFAULT_EIG_TOL
-            good = np.ones(a.shape[:-2], dtype=bool)
-            for j in range(s):
-                d = a[..., j, j]
-                pos = d > 0
-                good &= pos
-                # a failed pivot is replaced by 1, so that its row divides
-                # without a warning; the row's verdict is already False
-                col = a[..., j + 1:, j] / np.where(pos, d, 1.0)[..., None]
-                a[..., j + 1:, j + 1:] -= col[..., :, None] * a[..., j, None, j + 1:]
-            ok &= good.all(axis=1)
+    # rows on the last axis: every step below is a contiguous vector op
+    p = np.asarray(chis, dtype=float).T.copy()
+    p /= binomials(n_qubits)[:, None]
+    ok = np.ones(p.shape[1], dtype=bool)
+    for idx, w in _block_tables(n_qubits, n_qubits // 2, (0, -1)):
+        a = p[idx]  # (c, s, s, m)
+        a *= w[..., None]
+        diag = np.arange(a.shape[1])
+        a[:, diag, diag] += DEFAULT_EIG_TOL
+        good = np.ones((len(a), p.shape[1]), dtype=bool)
+        for j in diag:
+            good &= a[:, j, j] > 0
+            # a failed row's column is zero, not divided: its block stops
+            # changing, so it cannot grow (and overflow) after the failure
+            col = np.divide(a[:, j + 1:, j], a[:, j, None, j],
+                            out=np.zeros_like(a[:, j + 1:, j]), where=good[:, None])
+            a[:, j + 1:, j + 1:] -= col[:, :, None] * a[:, j, None, j + 1:]
+        ok &= good.all(axis=0)
     return ok
 
 

@@ -127,8 +127,9 @@ def sds_volume_formula(n_qubits: int) -> Fraction:
 def ppt_gds_volume(n_qubits: int, n_samples: int, seed: int) -> VolumeEstimate:
     """Monte-Carlo volume of the PPT region of GDS states.
 
-    Fraction of uniform simplex samples passing every partial-transpose
-    eigenvalue test, scaled by the simplex volume 1/N!.
+    Fraction of uniform simplex samples that ``ppt_pass_mask`` passes (the
+    two middle-split Dicke blocks have lambda_min >= -DEFAULT_EIG_TOL, which
+    decides PPT for every split), scaled by the simplex volume 1/N!.
     """
     def draw(rng, m):
         chis = sample_chis(n_qubits, rng, m)

@@ -1,8 +1,10 @@
+import tracemalloc
 import warnings
 from math import comb
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -211,7 +213,7 @@ def test_pass_mask_matches_dense_oracle(n, raw, mix, seed):
 
 
 class TestCholeskyMask:
-    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("n", range(2, 31))
     def test_product_states_pass(self, n):
         # the Hankel blocks of one product state are rank 1: singular, so
         # only the tolerance makes their Cholesky pivots positive
@@ -240,3 +242,49 @@ class TestCholeskyMask:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not ppt_pass_mask(4, chi)[0]
+
+    def test_large_n_raises_no_warning(self):
+        # a failed pivot must stop its block from changing; otherwise later
+        # columns grow the block until the products overflow at N = 20
+        chis = sample_chis(20, np.random.default_rng(7), 50_000)
+        mask = ppt_pass_mask(20, chis)
+        low = np.min([pt_min_eigenvalues(20, chis[:200], k) for k in range(1, 11)], axis=0)
+        np.testing.assert_array_equal(mask[:200], low >= -DEFAULT_EIG_TOL)
+
+    @pytest.mark.parametrize("n", [4, 7, 10])
+    def test_flips_at_dicke_noise_threshold(self, n):
+        # (1 - t) |D_{N/2}> + t chi_u, chi_u = 1/(N+1), is separable iff its
+        # Hankel pair H0 = [p_{i+j}], H1 = [p_{i+j+1}] is PSD, i.e. iff
+        # t >= t* = -lam / (1 - lam) with lam the smallest generalised
+        # eigenvalue of the Dicke state's pair against chi_u's
+        dicke = np.eye(n + 1)[n // 2]
+        uniform = np.full(n + 1, 1.0 / (n + 1))
+
+        def hankel_pair(chi):
+            p = chi / np.array([comb(n, j) for j in range(n + 1)])
+            h0 = np.arange(n // 2 + 1)
+            h1 = np.arange((n + 1) // 2)
+            return p[h0[:, None] + h0], p[h1[:, None] + h1 + 1]
+
+        lam = min(
+            scipy.linalg.eigh(a, b, eigvals_only=True)[0]
+            for a, b in zip(hankel_pair(dicke), hankel_pair(uniform))
+        )
+        t_star = -lam / (1.0 - lam)
+        if n == 4:
+            assert t_star == pytest.approx(10 / 11, rel=1e-12)
+        chis = np.array([(1.0 - t) * dicke + t * uniform for t in (0.999 * t_star, 1.001 * t_star)])
+        np.testing.assert_array_equal(ppt_pass_mask(n, chis), [False, True])
+
+    def test_working_set(self):
+        # 50,000 rows at N = 4: the mask holds p and the two middle-split
+        # blocks, not a stack per block size of every split
+        chis = sample_chis(4, np.random.default_rng(1), 50_000)
+        ppt_pass_mask(4, chis[:1])  # block tables are cached outside the window
+        tracemalloc.start()
+        try:
+            ppt_pass_mask(4, chis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
