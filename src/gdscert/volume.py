@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, sqrt
+from math import comb, factorial, prod, sqrt
 from numbers import Integral
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 # partial_transpose and ppt_pass_mask are re-exported: the traced benchmark
 # run (perfbench/tracing.py) patches them here.
 from .ppt import partial_transpose, ppt_pass_mask  # noqa: F401
-from .states import GDSState, bernstein, j_max
+from .states import GDSState, j_max
 
 METHOD_INDICATOR = "MC-indicator"
 METHOD_JACOBIAN = "MC-jacobian"
@@ -151,62 +151,94 @@ def jacobian_n4(x1, x2, y1, y2):
 
 
 def jacobian_general(n_qubits: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """|det| of the map from mixture parameters to populations, batched.
+    """|det J| of the map from mixture parameters to populations, batched.
 
     ``xs``: (m, j_max) full weight rows; ``ys``: (m, n_free) free amplitudes
-    (the pinned y = 0 of even N excluded).  Rows of the Jacobian are
-    derivatives with respect to every x_j and every free y_j; columns are
-    the N+1 populations.
+    (the pinned y = 0 of even N excluded), all in [0, 1].  J has one column
+    per parameter: d chi / d x_j is the Bernstein column b^N(y_j), and
+    d chi / d y_j is x_j d/dy b^N(y_j).
 
-    d chi / d x_j is the Bernstein column b^N(y_j), and d chi / d y_j is
-    x_j times d/dy b^N_n = N (b^(N-1)_(n-1) - b^(N-1)_n), with the
-    out-of-range b^(N-1)_(-1) = b^(N-1)_N = 0.
+    Closed form (Karlin & Studden, Tchebycheff Systems, 1966).  Since
+    b^N_k(y) = C(N, k) y^k (1 - y)^(N - k) = C(N, k) (y^k + higher powers),
+    the change from the monomial to the Bernstein basis is triangular with
+    diagonal C(N, k).  In the monomial basis the columns b(y_j) and
+    d/dy b(y_j) form a confluent Vandermonde matrix: every free node y_j is
+    doubled, and the pinned y = 0 of even N is a single node.  Its
+    determinant is the product over node pairs of their difference to the
+    power of the product of their multiplicities, so
+
+        |det J| = C_N prod_j x_j prod_{i<j} (y_i - y_j)^4 [N even] prod_j y_j^2
+
+    with C_N = prod_{k=0..N} C(N, k) and i, j over the free terms.
+
+    C_N passes the float range at N = 40, and the product of the data
+    factors can underflow where |det J| is still a normal float, so C_N is
+    applied last, by ``ldexp``, and a row whose data product is not a normal
+    float is evaluated again with its exponent kept apart.  The result is 0
+    or subnormal only where the exact value is.
     """
-    n = n_qubits
-    jm = j_max(n)
-    n_free = ys.shape[1]
-    m = xs.shape[0]
-    y_full = np.concatenate([ys, np.zeros((m, jm - n_free))], axis=1)
-    d_dy = -n * np.diff(bernstein(n - 1, ys), axis=1, prepend=0.0, append=0.0)
+    c = prod(comb(n_qubits, k) for k in range(n_qubits + 1))
+    # C_N = c_scaled * 2^shift with c_scaled < 2^1000, so that c_scaled times
+    # a number in [0, 1] cannot overflow
+    shift = max(c.bit_length() - 1000, 0)
+    c_scaled = c / (1 << shift)
+    g = np.ones(len(xs))
+    for f, k in _density_factors(n_qubits, xs, ys):
+        for _ in range(k):
+            g *= f
+    out = np.ldexp(g * c_scaled, shift)
+    # every factor is in [0, 1], so a normal g met no underflow on the way
+    low = g < np.finfo(float).tiny
+    if low.any():
+        mant = np.ones(low.sum())
+        exps = np.zeros(low.sum(), dtype=np.int64)
+        for f, k in _density_factors(n_qubits, xs[low], ys[low]):
+            m, e = np.frexp(f)
+            for _ in range(k):
+                mant *= m
+            mant, e_mant = np.frexp(mant)
+            exps += k * e + e_mant
+        out[low] = np.ldexp(mant * c_scaled, exps + shift)
+    return out
 
-    jac = np.empty((m, n + 1, n + 1))
-    jac[:, :jm, :] = bernstein(n, y_full).swapaxes(1, 2)
-    jac[:, jm:, :] = xs[:, :n_free, None] * d_dy.swapaxes(1, 2)
-    return np.abs(np.linalg.det(jac))
+
+def _density_factors(n_qubits: int, xs: np.ndarray, ys: np.ndarray):
+    """The data factors of ``jacobian_general`` as (row values, power) pairs;
+    each value raised to its power lies in [0, 1]."""
+    n_free = ys.shape[1]
+    y = np.asarray(ys, dtype=float).T.copy()  # one contiguous row per amplitude
+    for j in range(n_free):
+        yield xs[:, j], 1
+    if n_qubits % 2 == 0:
+        for row in y:
+            yield row, 2
+    for i in range(n_free - 1):
+        for row in y[i] - y[i + 1:]:
+            yield row, 4
 
 
 def sds_volume_mc(n_qubits: int, n_samples: int, seed: int) -> VolumeEstimate:
     """Monte-Carlo separable volume in mixture coordinates.
 
-    Integrates the change-of-variable density over weights on the simplex
-    and free amplitudes on the unit cube; a descending-weight indicator
-    keeps the parameter-to-population map one-to-one.  Uses the closed-form
-    density at N=4 and a numerical Jacobian determinant otherwise.
+    Integrates the change-of-variable density ``jacobian_general`` over the
+    j_max weights on the simplex and the free amplitudes on the unit cube.
+    The weights are drawn uniformly on the simplex (``sample_chis``), whose
+    density in the j_max - 1 independent weights is (j_max - 1)!, so the
+    sample mean is scaled by 1/(j_max - 1)!.  A descending-weight indicator
+    over the free terms keeps the parameter-to-population map one-to-one,
+    since the (x_j, y_j) pairs are interchangeable.
     """
     n = n_qubits
     jm = j_max(n)
-    pinned = n % 2 == 0
-    n_free = jm - 1 if pinned else jm
+    n_free = jm - 1 if n % 2 == 0 else jm
 
     def draw(rng, m):
-        # the weight eliminated by the normalization constraint is the
-        # pinned term's for even N and the last free one's for odd N
-        x_sampled = rng.random((m, jm - 1))
-        x_last = 1.0 - x_sampled.sum(axis=1)
-        xs = np.concatenate([x_sampled, x_last[:, None]], axis=1)
+        xs = sample_chis(jm - 1, rng, m)
         ys = rng.random((m, n_free))
-        inside = x_last >= 0.0
-        # one-to-one ordering over the interchangeable (x, y) pairs
         ordered = np.all(np.diff(xs[:, :n_free], axis=1) <= 0.0, axis=1)
-        mask = inside & ordered
         values = np.zeros(m)
-        if mask.any():
-            if n == 4:
-                values[mask] = jacobian_n4(
-                    xs[mask, 0], xs[mask, 1], ys[mask, 0], ys[mask, 1]
-                )
-            else:
-                values[mask] = jacobian_general(n, xs[mask], ys[mask])
+        values[ordered] = jacobian_general(n, xs[ordered], ys[ordered])
         return values
 
-    return _mc_estimate(n_samples, DEFAULT_CHUNK, seed, 1.0, METHOD_JACOBIAN, draw)
+    return _mc_estimate(n_samples, DEFAULT_CHUNK, seed, 1 / factorial(jm - 1),
+                        METHOD_JACOBIAN, draw)

@@ -288,3 +288,16 @@ class TestCholeskyMask:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_rows_across_slices(self, n):
+        # two full slices and 7 rows; split the batch off the slice grid so
+        # each half is sliced differently from the whole
+        rows = 2 * ppt.MASK_SLICE_ROWS + 7
+        chis = sample_chis(n, np.random.default_rng(300 + n), rows)
+        half = ppt.MASK_SLICE_ROWS + 3
+        mask = ppt_pass_mask(n, chis)
+        assert mask.shape == (rows,) and 0 < mask.sum() < rows
+        np.testing.assert_array_equal(
+            mask, np.concatenate([ppt_pass_mask(n, chis[:half]), ppt_pass_mask(n, chis[half:])])
+        )
