@@ -48,7 +48,8 @@ import numpy as np
 from .states import GDSState, binomials, check_tolerance, gds_density_matrix  # noqa: F401
 
 DEFAULT_EIG_TOL = 1e-10
-# rows ppt_pass_mask eliminates at once, so a slice's blocks stay in cache
+# rows ppt_pass_mask eliminates at once, and volume._mc_estimate draws at once,
+# so a slice's arrays stay in cache
 MASK_SLICE_ROWS = 4096
 
 

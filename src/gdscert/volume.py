@@ -4,8 +4,11 @@ All volumes use the flat measure on the population simplex (an
 unconventional metric chosen for tractability, not a canonical state-space
 measure).  A Monte-Carlo estimator splits its samples into chunks of a
 fixed size, and chunk i draws from the i-th child stream of the seed's
-``SeedSequence``.  The chunk sizes and the seed therefore fix every sample,
-so identical (seed, args) reproduce bit-identical numbers.
+``SeedSequence``.  Within a chunk the samples are drawn and evaluated in
+slices of at most ``MASK_SLICE_ROWS`` rows that continue the chunk's
+generator, so the working set stays in cache.  The chunk sizes, the slice
+size and the seed therefore fix every sample, so identical (seed, args)
+reproduce bit-identical numbers.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 # partial_transpose and ppt_pass_mask are re-exported: the traced benchmark
 # run (perfbench/tracing.py) patches them here.
-from .ppt import partial_transpose, ppt_pass_mask  # noqa: F401
+from .ppt import MASK_SLICE_ROWS, partial_transpose, ppt_pass_mask  # noqa: F401
 from .states import GDSState, j_max
 
 METHOD_INDICATOR = "MC-indicator"
@@ -61,7 +64,11 @@ def _mc_estimate(n_samples, chunk_size, seed, scale, method, draw) -> VolumeEsti
 
     ``draw(rng, m)`` returns the integrand at m fresh samples.  Chunk i has
     ``chunk_size`` samples (the last one the remainder) and its own
-    generator on stream i of ``SeedSequence(seed)``.
+    generator on stream i of ``SeedSequence(seed)``.  Each chunk is drawn in
+    slices of at most ``MASK_SLICE_ROWS`` samples from that one generator; a
+    draw that takes its rows from a single row-major stream (``sample_chis``)
+    gives the same rows sliced or whole, so an integrand of 0s and 1s, whose
+    sums are exact, gives the same estimate either way.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -69,9 +76,11 @@ def _mc_estimate(n_samples, chunk_size, seed, scale, method, draw) -> VolumeEsti
     chunks = [chunk_size] * full + ([rem] if rem else [])
     acc_sum = acc_sumsq = 0.0
     for m, ss in zip(chunks, np.random.SeedSequence(seed).spawn(len(chunks))):
-        values = draw(np.random.default_rng(ss), m)
-        acc_sum += float(values.sum())
-        acc_sumsq += float((values**2).sum())
+        rng = np.random.default_rng(ss)
+        for start in range(0, m, MASK_SLICE_ROWS):
+            values = draw(rng, min(MASK_SLICE_ROWS, m - start))
+            acc_sum += float(values.sum())
+            acc_sumsq += float((values**2).sum())
     mean_raw = acc_sum / n_samples
     var_raw = max(acc_sumsq / n_samples - mean_raw**2, 0.0)
     return VolumeEstimate(
@@ -86,8 +95,9 @@ def _mc_estimate(n_samples, chunk_size, seed, scale, method, draw) -> VolumeEsti
 def sample_chis(n_qubits: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """(size, N+1) populations uniform on the standard simplex, via
     normalized exponential spacings."""
-    e = rng.exponential(size=(size, n_qubits + 1))
-    return e / e.sum(axis=1, keepdims=True)
+    e = rng.standard_exponential(size=(size, n_qubits + 1))
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def sample_gds_simplex(n_qubits: int, rng: np.random.Generator) -> GDSState:
@@ -136,8 +146,8 @@ def ppt_gds_volume(n_qubits: int, n_samples: int, seed: int) -> VolumeEstimate:
         return ppt_pass_mask(n_qubits, chis).astype(float)
 
     # The chunk sizes fix which samples each per-chunk seed stream draws,
-    # so changing this rule would change every estimate at N >= 5,
-    # although the Dicke blocks need no memory bound.
+    # so changing this rule would change every estimate at N >= 5, although
+    # the slices of _mc_estimate already bound the memory.
     dim = 1 << n_qubits
     chunk_size = max(1_000, min(DEFAULT_CHUNK, (1 << 25) // (dim * dim)))
     return _mc_estimate(n_samples, chunk_size, seed, float(gds_volume(n_qubits)),
@@ -223,10 +233,21 @@ def sds_volume_mc(n_qubits: int, n_samples: int, seed: int) -> VolumeEstimate:
     Integrates the change-of-variable density ``jacobian_general`` over the
     j_max weights on the simplex and the free amplitudes on the unit cube.
     The weights are drawn uniformly on the simplex (``sample_chis``), whose
-    density in the j_max - 1 independent weights is (j_max - 1)!, so the
-    sample mean is scaled by 1/(j_max - 1)!.  A descending-weight indicator
-    over the free terms keeps the parameter-to-population map one-to-one,
-    since the (x_j, y_j) pairs are interchangeable.
+    density in the j_max - 1 independent weights is (j_max - 1)!.  The
+    density is symmetric in the n_free interchangeable (x_j, y_j) pairs, so
+    the parameter-to-population map covers each separable state n_free!
+    times; every row is evaluated and the sample mean is scaled by
+    1/((j_max - 1)! n_free!).
+
+    At even N the integrand is averaged over the reflection y -> 1 - y of
+    the free amplitudes, which maps the cube onto itself (it relabels
+    |0> <-> |1>), so the integral is unchanged and the variance falls.  At
+    odd N the density depends on the amplitudes only through their
+    differences, so the reflection would change nothing.
+
+    From N of about 20 the density is heavy-tailed: almost all of the
+    integral sits in rare rows, so the estimate falls far below
+    ``sds_volume_formula`` and its standard error understates the error.
     """
     n = n_qubits
     jm = j_max(n)
@@ -235,10 +256,12 @@ def sds_volume_mc(n_qubits: int, n_samples: int, seed: int) -> VolumeEstimate:
     def draw(rng, m):
         xs = sample_chis(jm - 1, rng, m)
         ys = rng.random((m, n_free))
-        ordered = np.all(np.diff(xs[:, :n_free], axis=1) <= 0.0, axis=1)
-        values = np.zeros(m)
-        values[ordered] = jacobian_general(n, xs[ordered], ys[ordered])
+        values = jacobian_general(n, xs, ys)
+        if n % 2 == 0:
+            values += jacobian_general(n, xs, 1.0 - ys)
+            values *= 0.5
         return values
 
-    return _mc_estimate(n_samples, DEFAULT_CHUNK, seed, 1 / factorial(jm - 1),
+    return _mc_estimate(n_samples, DEFAULT_CHUNK, seed,
+                        1 / (factorial(jm - 1) * factorial(n_free)),
                         METHOD_JACOBIAN, draw)

@@ -239,6 +239,12 @@ class TestVolume:
         assert out1 == out2
         assert json.loads(out1)["mean"] == pytest.approx(2 / 525, rel=0.2)
 
+    def test_sds_mc_large_n_is_nonzero(self, runner):
+        result = runner.invoke(main, ["volume", "--estimator", "sds-mc", "--n", "40",
+                                      "--samples", "1000", "--seed", "1"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["mean"] > 0.0
+
 
 class TestBound:
     def test_table(self, runner):
