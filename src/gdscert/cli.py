@@ -21,20 +21,12 @@ from .states import GDSState, check_tolerance, j_max
 OUTDIR_ENV = "GDSCERT_OUTDIR"
 
 
-def _fmt(v) -> str:
-    return f"{float(v):.17g}"
-
-
-def _resolve_out(out: str | None) -> Path | None:
-    if out is None:
-        return None
-    path = Path(out)
-    if not path.is_absolute():
-        base = os.environ.get(OUTDIR_ENV)
-        if base:
-            path = Path(base) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
+def _csv(header, rows) -> str:
+    """CSV text of ``header`` and ``rows``; a cell that is not a str is a
+    number, printed with 17 significant digits."""
+    lines = [header] + [[v if isinstance(v, str) else f"{float(v):.17g}" for v in row]
+                        for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 def _parse_tau_grid(spec: str) -> np.ndarray:
@@ -64,13 +56,16 @@ def _check_tol(ctx, param, value: float) -> float:
     return value
 
 
-def _load_state(chi_file: str) -> GDSState:
+def _load_state(chi_file: str, n_qubits: int | None) -> GDSState:
+    """The state in ``chi_file``; its N must equal ``n_qubits`` unless that is None."""
     try:
         with open(chi_file) as fh:
-            obj = json.load(fh)
-        return GDSState.from_json_dict(obj)
+            state = GDSState.from_json_dict(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise click.UsageError(f"cannot read state from {chi_file}: {exc}")
+    if n_qubits is not None and state.n_qubits != n_qubits:
+        raise click.UsageError("--n disagrees with the state file")
+    return state
 
 
 def _state_source(n_qubits, chi_file, tau_spec):
@@ -82,21 +77,26 @@ def _state_source(n_qubits, chi_file, tau_spec):
     if (chi_file is None) == (tau_spec is None):
         raise click.UsageError("provide exactly one of --chi-file or --superrad-tau")
     if chi_file is not None:
-        return _load_state(chi_file), None
+        return _load_state(chi_file, n_qubits), None
     if n_qubits is None:
         raise click.UsageError("--superrad-tau needs --n")
     grid = _parse_tau_grid(tau_spec)
     return None, list(zip(grid, superrad.trajectory(n_qubits, grid).states))
 
 
-def _emit(path: Path | None, text: str):
-    # Streams are passed explicitly: for a default stream, click caches a
-    # wrapper that keeps every redirected sys.stdout (and all it holds)
-    # alive, so each in-process call would leak its output.
-    if path is None:
+def _emit(out: str | None, text: str):
+    """Write ``text`` to stdout, or to ``--out``: a relative path resolves
+    against ``$GDSCERT_OUTDIR`` when that is set."""
+    if out is None:
+        # Streams are passed explicitly: for a default stream, click caches a
+        # wrapper that keeps every redirected sys.stdout (and all it holds)
+        # alive, so each in-process call would leak its output.
         click.echo(text, nl=False, file=sys.stdout)
-    else:
-        path.write_text(text)
+        return
+    # an absolute ``out`` replaces the base
+    path = Path(os.environ.get(OUTDIR_ENV, ""), out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
 
 
 @click.group()
@@ -116,22 +116,15 @@ def cmd_superrad(n_qubits, tau_spec, out, fmt):
     """Superradiant populations on a time grid (plot-ready data)."""
     grid = _parse_tau_grid(tau_spec)
     traj = superrad.trajectory(n_qubits, grid)
-    table = traj.populations_table()
-    drift = float(np.max(np.abs(table.sum(axis=1) - 1.0)))
-    if drift > 1e-9:
-        click.echo(f"normalization drift {drift:.3e} exceeds 1e-9", file=sys.stderr)
-        sys.exit(1)
     if fmt == "csv":
         header = ["tau"] + [f"chi_n0_{k}" for k in range(n_qubits + 1)]
-        lines = [",".join(header)]
-        for tau, row in zip(grid, table):
-            lines.append(",".join([_fmt(tau)] + [_fmt(v) for v in row]))
-        _emit(_resolve_out(out), "\n".join(lines) + "\n")
+        rows = [[tau, *row] for tau, row in zip(grid, traj.populations_table())]
+        _emit(out, _csv(header, rows))
     else:
         payload = [
             {"tau": float(tau), **s.to_json_dict()} for tau, s in zip(grid, traj.states)
         ]
-        _emit(_resolve_out(out), json.dumps(payload, indent=2) + "\n")
+        _emit(out, json.dumps(payload, indent=2) + "\n")
 
 
 @main.command("certify")
@@ -151,7 +144,7 @@ def cmd_certify(n_qubits, chi_file, tau_spec, tol, out, fmt):
     state, sweep = _state_source(n_qubits, chi_file, tau_spec)
     if state is not None:
         result = decompose.certify(state, epsilon=tol)
-        _emit(_resolve_out(out), json.dumps(result.to_json_dict(), indent=2) + "\n")
+        _emit(out, json.dumps(result.to_json_dict(), indent=2) + "\n")
         sys.exit(0 if result.certified else 1)
 
     jm = j_max(n_qubits)
@@ -169,19 +162,14 @@ def cmd_certify(n_qubits, chi_file, tau_spec, tol, out, fmt):
     if fmt == "csv":
         header = (["tau"] + [f"x_{j + 1}" for j in range(jm)]
                   + [f"y_{j + 1}" for j in range(jm)] + ["verdict"])
-        lines = [",".join(header)]
-        for tau, xs, ys, verdict in rows:
-            lines.append(",".join(
-                [_fmt(tau)] + [_fmt(v) for v in xs] + [_fmt(v) for v in ys] + [verdict]
-            ))
-        _emit(_resolve_out(out), "\n".join(lines) + "\n")
+        _emit(out, _csv(header, [[tau, *xs, *ys, verdict] for tau, xs, ys, verdict in rows]))
     else:
         payload = [
             {"tau": float(tau), "x": [float(v) for v in xs],
              "y": [float(v) for v in ys], "verdict": verdict}
             for tau, xs, ys, verdict in rows
         ]
-        _emit(_resolve_out(out), json.dumps(payload, indent=2) + "\n")
+        _emit(out, json.dumps(payload, indent=2) + "\n")
     sys.exit(0 if all_ok else 1)
 
 
@@ -199,7 +187,7 @@ def cmd_ppt(n_qubits, chi_file, tau_spec, tol, out):
     state, sweep = _state_source(n_qubits, chi_file, tau_spec)
     if state is not None:
         report = ppt.is_ppt(state, tol=tol)
-        _emit(_resolve_out(out), json.dumps(report.to_json_dict(), indent=2) + "\n")
+        _emit(out, json.dumps(report.to_json_dict(), indent=2) + "\n")
         sys.exit(0 if report.is_ppt else 1)
     payload = []
     all_ok = True
@@ -207,7 +195,7 @@ def cmd_ppt(n_qubits, chi_file, tau_spec, tol, out):
         report = ppt.is_ppt(state, tol=tol)
         all_ok &= report.is_ppt
         payload.append({"tau": float(tau), **report.to_json_dict()})
-    _emit(_resolve_out(out), json.dumps(payload, indent=2) + "\n")
+    _emit(out, json.dumps(payload, indent=2) + "\n")
     sys.exit(0 if all_ok else 1)
 
 
@@ -236,7 +224,7 @@ def cmd_volume(estimator, n_qubits, samples, seed, out):
         val = exact(n_qubits)
         payload = {"mean": float(val), "exact": f"{val.numerator}/{val.denominator}",
                    "method": volume.METHOD_ANALYTIC}
-    _emit(_resolve_out(out), json.dumps(payload, indent=2) + "\n")
+    _emit(out, json.dumps(payload, indent=2) + "\n")
 
 
 @main.command("bound")
@@ -253,16 +241,14 @@ def cmd_bound(n_qubits, chi_file, out):
     }
     exit_code = 0
     if chi_file is not None:
-        state = _load_state(chi_file)
-        if state.n_qubits != n_qubits:
-            raise click.UsageError("--n disagrees with the state file")
+        state = _load_state(chi_file, n_qubits)
         violations = decompose.check_population_bounds(state)
         payload["violations"] = [
             {"n0": n0, "chi": chi, "bound": bound} for n0, chi, bound in violations
         ]
         if violations:
             exit_code = 1
-    _emit(_resolve_out(out), json.dumps(payload, indent=2) + "\n")
+    _emit(out, json.dumps(payload, indent=2) + "\n")
     sys.exit(exit_code)
 
 

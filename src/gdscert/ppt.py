@@ -48,9 +48,6 @@ import numpy as np
 from .states import GDSState, binomials, check_tolerance, gds_density_matrix  # noqa: F401
 
 DEFAULT_EIG_TOL = 1e-10
-# rows ppt_pass_mask eliminates at once, and volume._mc_estimate draws at once,
-# so a slice's arrays stay in cache
-MASK_SLICE_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -150,21 +147,12 @@ def ppt_pass_mask(n_qubits: int, chis: np.ndarray) -> np.ndarray:
     eigenvalue is computed: lambda_min(B) >= -tol iff B + tol*I is positive
     definite (up to the measure-zero case of equality), i.e. iff every pivot
     of its Cholesky elimination is positive.  The elimination runs column by
-    column on ``MASK_SLICE_ROWS`` rows at once; rows are independent, so the
-    slicing changes no verdict.
+    column on all the rows it is given at once; rows are independent, so a
+    row's verdict does not depend on the batch it comes in, and the caller
+    sizes the batch (``volume`` passes slices of ``volume.SLICE_ROWS``).
     """
-    chis = np.asarray(chis, dtype=float)
-    ok = np.empty(len(chis), dtype=bool)
-    for start in range(0, len(chis), MASK_SLICE_ROWS):
-        rows = slice(start, start + MASK_SLICE_ROWS)
-        ok[rows] = _middle_blocks_pass(n_qubits, chis[rows])
-    return ok
-
-
-def _middle_blocks_pass(n_qubits: int, chis: np.ndarray) -> np.ndarray:
-    """``ppt_pass_mask`` of one slice of rows."""
     # rows on the last axis: every step below is a contiguous vector op
-    p = chis.T.copy()
+    p = np.asarray(chis, dtype=float).T.copy()
     p /= binomials(n_qubits)[:, None]
     ok = np.ones(p.shape[1], dtype=bool)
     for idx, w in _block_tables(n_qubits, n_qubits // 2, (0, -1)):

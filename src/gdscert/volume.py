@@ -5,10 +5,10 @@ unconventional metric chosen for tractability, not a canonical state-space
 measure).  A Monte-Carlo estimator splits its samples into chunks of a
 fixed size, and chunk i draws from the i-th child stream of the seed's
 ``SeedSequence``.  Within a chunk the samples are drawn and evaluated in
-slices of at most ``MASK_SLICE_ROWS`` rows that continue the chunk's
-generator, so the working set stays in cache.  The chunk sizes, the slice
-size and the seed therefore fix every sample, so identical (seed, args)
-reproduce bit-identical numbers.
+slices of at most ``SLICE_ROWS`` rows that continue the chunk's generator,
+so the working set stays in cache; ``ppt_pass_mask`` takes each slice
+whole.  The chunk sizes, the slice size and the seed therefore fix every
+sample, so identical (seed, args) reproduce bit-identical numbers.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 # partial_transpose and ppt_pass_mask are re-exported: the traced benchmark
 # run (perfbench/tracing.py) patches them here.
-from .ppt import MASK_SLICE_ROWS, partial_transpose, ppt_pass_mask  # noqa: F401
+from .ppt import partial_transpose, ppt_pass_mask  # noqa: F401
 from .states import GDSState, j_max
 
 METHOD_INDICATOR = "MC-indicator"
@@ -30,6 +30,8 @@ METHOD_JACOBIAN = "MC-jacobian"
 METHOD_ANALYTIC = "analytic"
 
 DEFAULT_CHUNK = 100_000
+# rows an estimator draws and evaluates at once, so a slice stays in cache
+SLICE_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ def _mc_estimate(n_samples, chunk_size, seed, scale, method, draw) -> VolumeEsti
     ``draw(rng, m)`` returns the integrand at m fresh samples.  Chunk i has
     ``chunk_size`` samples (the last one the remainder) and its own
     generator on stream i of ``SeedSequence(seed)``.  Each chunk is drawn in
-    slices of at most ``MASK_SLICE_ROWS`` samples from that one generator; a
+    slices of at most ``SLICE_ROWS`` samples from that one generator; a
     draw that takes its rows from a single row-major stream (``sample_chis``)
     gives the same rows sliced or whole, so an integrand of 0s and 1s, whose
     sums are exact, gives the same estimate either way.
@@ -77,8 +79,8 @@ def _mc_estimate(n_samples, chunk_size, seed, scale, method, draw) -> VolumeEsti
     acc_sum = acc_sumsq = 0.0
     for m, ss in zip(chunks, np.random.SeedSequence(seed).spawn(len(chunks))):
         rng = np.random.default_rng(ss)
-        for start in range(0, m, MASK_SLICE_ROWS):
-            values = draw(rng, min(MASK_SLICE_ROWS, m - start))
+        for start in range(0, m, SLICE_ROWS):
+            values = draw(rng, min(SLICE_ROWS, m - start))
             acc_sum += float(values.sum())
             acc_sumsq += float((values**2).sum())
     mean_raw = acc_sum / n_samples

@@ -1,12 +1,9 @@
 """Acceptance suite: one test per exit criterion, each printing a summary line.
 
-Criterion 4 defaults to its full 1e7-sample run (about 30-40 s on a 2-core
-x86 machine); set GDSCERT_ACCEPTANCE_SAMPLES to a smaller count (e.g.
-1000000) for a smoke run, whose wider Monte-Carlo error bars widen the
-comparison bands accordingly.
+Criterion 4 runs its full 1e7-sample Monte-Carlo volumes (about 2-3 s on a
+2-core x86 machine).
 """
 
-import os
 import time
 
 import numpy as np
@@ -33,7 +30,7 @@ from gdscert import (
 from gdscert.volume import sample_chis
 
 TAU_GRID_200 = np.geomspace(1e-3, 10, 200)
-VOLUME_SAMPLES = int(os.environ.get("GDSCERT_ACCEPTANCE_SAMPLES", 10_000_000))
+VOLUME_SAMPLES = 10_000_000
 
 
 def _report(num, text):

@@ -45,6 +45,46 @@ def test_mistyped_state_file_is_usage_error(runner, tmp_path, command, n, obj):
     assert runner.invoke(main, args).exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["certify", "ppt", "bound"])
+def test_n_disagreeing_with_state_file_is_usage_error(runner, tmp_path, command):
+    path = _write_state(tmp_path, 4, [1, 0, 0, 0, 0])
+    result = runner.invoke(main, [command, "--n", "7", "--chi-file", path])
+    assert result.exit_code == 2
+    assert "--n disagrees with the state file" in result.stderr
+    assert result.stdout == ""
+
+
+# one sweep or state per writer: the superrad table (CSV and JSON), the
+# certify sweep table (CSV and JSON), the ppt sweep and a --chi-file result
+OUT_ARGS = {
+    "superrad-csv": ["superrad", "--n", "3", "--tau", "1e-3:10:4:geom"],
+    "superrad-json": ["superrad", "--n", "3", "--tau", "0:5:3:lin", "--format", "json"],
+    "certify-csv": ["certify", "--n", "6", "--superrad-tau", "1e-3:10:3:geom"],
+    "certify-json": ["certify", "--n", "6", "--superrad-tau", "1e-3:10:3:geom",
+                     "--format", "json"],
+    "ppt-sweep": ["ppt", "--n", "5", "--superrad-tau", "1e-3:10:3:geom"],
+    "ppt-file": ["ppt", "--chi-file", "{state}"],
+}
+
+
+@pytest.mark.parametrize("args", OUT_ARGS.values(), ids=OUT_ARGS.keys())
+def test_out_file_matches_stdout(runner, tmp_path, monkeypatch, args):
+    # an absolute --out ignores $GDSCERT_OUTDIR; a relative one lands under it
+    state = _write_state(tmp_path, 2, [0.25, 0.5, 0.25])
+    args = [a.format(state=state) for a in args]
+    printed = runner.invoke(main, args)
+    assert printed.exit_code == 0 and printed.stdout
+    monkeypatch.setenv("GDSCERT_OUTDIR", str(tmp_path / "outdir"))
+    monkeypatch.chdir(tmp_path)
+    absolute = tmp_path / "abs" / "out.txt"
+    for out, path in [(str(absolute), absolute),
+                      ("rel/out.txt", tmp_path / "outdir" / "rel" / "out.txt")]:
+        written = runner.invoke(main, args + ["--out", out])
+        assert (written.exit_code, written.stdout) == (0, "")
+        assert path.read_bytes() == printed.stdout_bytes
+    assert not (tmp_path / "rel").exists()
+
+
 class TestSuperrad:
     def test_csv_shape_and_monotone_ground(self, runner):
         result = runner.invoke(main, ["superrad", "--n", "4", "--tau", "1e-3:10:50:geom"])

@@ -18,7 +18,7 @@ from gdscert import (
     random_sds_params,
     sds_populations,
 )
-from gdscert import ppt
+from gdscert import ppt, volume
 from gdscert.ppt import DEFAULT_EIG_TOL, _pt_blocks, pt_min_eigenvalues
 from gdscert.states import bernstein, is_hermitian
 from gdscert.volume import ppt_pass_mask, sample_chis
@@ -277,8 +277,8 @@ class TestCholeskyMask:
         np.testing.assert_array_equal(ppt_pass_mask(n, chis), [False, True])
 
     def test_working_set(self):
-        # 50,000 rows at N = 4: the mask holds p and the two middle-split
-        # blocks, not a stack per block size of every split
+        # 50,000 rows at N = 4 in one unsliced batch: the mask holds p and the
+        # two middle-split blocks, not a stack per block size of every split
         chis = sample_chis(4, np.random.default_rng(1), 50_000)
         ppt_pass_mask(4, chis[:1])  # block tables are cached outside the window
         tracemalloc.start()
@@ -291,11 +291,12 @@ class TestCholeskyMask:
 
     @pytest.mark.parametrize("n", [4, 7])
     def test_rows_across_slices(self, n):
-        # two full slices and 7 rows; split the batch off the slice grid so
-        # each half is sliced differently from the whole
-        rows = 2 * ppt.MASK_SLICE_ROWS + 7
+        # two of the estimators' slices and 7 rows, split off the slice grid:
+        # the mask eliminates each batch whole, and a row's verdict must not
+        # depend on the batch it comes in
+        rows = 2 * volume.SLICE_ROWS + 7
         chis = sample_chis(n, np.random.default_rng(300 + n), rows)
-        half = ppt.MASK_SLICE_ROWS + 3
+        half = volume.SLICE_ROWS + 3
         mask = ppt_pass_mask(n, chis)
         assert mask.shape == (rows,) and 0 < mask.sum() < rows
         np.testing.assert_array_equal(

@@ -124,10 +124,10 @@ class TestPptVolume:
 
     def test_slices_continue_the_chunk_generator(self):
         # 50_001 samples are one chunk at N = 4, drawn in slices of
-        # MASK_SLICE_ROWS that do not divide it; the estimate equals the mask
+        # SLICE_ROWS that do not divide it; the estimate equals the mask
         # count over one whole-chunk draw
         n, total, seed = 4, 50_001, 20261019
-        assert total % volume.MASK_SLICE_ROWS
+        assert total % volume.SLICE_ROWS
         est = ppt_gds_volume(n, total, seed=seed)
         (ss,) = np.random.SeedSequence(seed).spawn(1)
         chis = sample_chis(n, np.random.default_rng(ss), total)
