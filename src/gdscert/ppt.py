@@ -29,7 +29,11 @@ condition, so PPT is separability here.
 ``pt_min_eigenvalues`` computes the block spectra (``is_ppt`` reports
 them).  ``ppt_pass_mask`` decides "lambda_min >= -tol on the two
 middle-split blocks" at tol = DEFAULT_EIG_TOL by a Cholesky elimination of
-each + tol*I.  Every row ``is_ppt`` passes at that tol passes the mask; the
+each + tol*I.  The elimination runs rows last on the lower triangle, the
+smaller block first: each entry is one contiguous vector over the batch,
+and a row leaves the batch at the first pivot that is not positive, so
+later columns and the other block run only on the rows still passing.
+Every row ``is_ppt`` passes at that tol passes the mask; the
 converse can fail only where a smaller block's lambda_min lies in a thin
 band below -tol, its weights differing from the middle split's.
 """
@@ -138,6 +142,28 @@ def pt_min_eigenvalues(n_qubits: int, chis: np.ndarray, k: int) -> np.ndarray:
     return mins
 
 
+@lru_cache(maxsize=None)
+def _mask_tables(n_qubits: int) -> tuple:
+    """The two middle-split blocks as packed lower triangles, smaller first.
+
+    One ``(idx, w, diag)`` per block of size s: ``p[idx] * w`` stacks the
+    entries a[k:, k] of column k = 0..s-1 of the block, one row per entry
+    (the tables of ``_block_tables``, packed), and ``diag`` indexes the s
+    diagonal entries.  The arrays are shared between callers and therefore
+    read-only.
+    """
+    tables = []
+    for idx, w in _block_tables(n_qubits, n_qubits // 2, (0, -1)):
+        cols, rows = np.triu_indices(idx.shape[1])  # the lower triangle, by column
+        diag = np.flatnonzero(rows == cols)
+        for block_idx, block_w in zip(idx, w):
+            packed = (block_idx[rows, cols], block_w[rows, cols, None], diag)
+            for t in packed:
+                t.setflags(write=False)
+            tables.append(packed)
+    return tuple(tables)
+
+
 def ppt_pass_mask(n_qubits: int, chis: np.ndarray) -> np.ndarray:
     """Batched PPT verdict (at ``DEFAULT_EIG_TOL``) of population rows.
 
@@ -146,30 +172,63 @@ def ppt_pass_mask(n_qubits: int, chis: np.ndarray) -> np.ndarray:
     W H1 W, which decide PPT for every split (module docstring).  No
     eigenvalue is computed: lambda_min(B) >= -tol iff B + tol*I is positive
     definite (up to the measure-zero case of equality), i.e. iff every pivot
-    of its Cholesky elimination is positive.  The elimination runs column by
-    column on all the rows it is given at once; rows are independent, so a
+    of its Cholesky elimination is positive.
+
+    ``chis`` is an (m, N+1) batch; the result is a bool (m,) mask.  The
+    entries are (chi_n / C(N, n)) * (w_i w_k), plus tol on the diagonal.
+    The elimination runs rows last on the lower triangle: every entry is
+    one contiguous vector over the batch, and column j updates
+    a[i, k] -= (a[i, j] / a[j, j]) * a[k, j] for i >= k > j.  A row whose
+    pivot is not positive leaves the batch at that pivot, so later columns,
+    and the larger block after the smaller one, run only on the rows still
+    passing.  In exact arithmetic this is the square elimination that
+    ``tests/test_ppt.py`` keeps as the reference; in floating point that
+    one's two triangles differ in the last bits, so the pivots may too, and
+    the test checks that the verdicts agree.  Rows are independent, so a
     row's verdict does not depend on the batch it comes in, and the caller
     sizes the batch (``volume`` passes slices of ``volume.SLICE_ROWS``).
     """
+    chis = np.asarray(chis, dtype=float)
+    if chis.ndim != 2 or chis.shape[1] != n_qubits + 1:
+        raise ValueError(
+            f"expected an (m, {n_qubits + 1}) array of population rows for "
+            f"N={n_qubits}, got shape {chis.shape}"
+        )
+    m = len(chis)
     # rows on the last axis: every step below is a contiguous vector op
-    p = np.asarray(chis, dtype=float).T.copy()
-    p /= binomials(n_qubits)[:, None]
-    ok = np.ones(p.shape[1], dtype=bool)
-    for idx, w in _block_tables(n_qubits, n_qubits // 2, (0, -1)):
-        a = p[idx]  # (c, s, s, m)
-        a *= w[..., None]
-        diag = np.arange(a.shape[1])
-        a[:, diag, diag] += DEFAULT_EIG_TOL
-        good = np.ones((len(a), p.shape[1]), dtype=bool)
-        for j in diag:
-            good &= a[:, j, j] > 0
-            # a failed row's column is zero, not divided: its block stops
-            # changing, so it cannot grow (and overflow) after the failure
-            col = np.divide(a[:, j + 1:, j], a[:, j, None, j],
-                            out=np.zeros_like(a[:, j + 1:, j]), where=good[:, None])
-            a[:, j + 1:, j + 1:] -= col[:, :, None] * a[:, j, None, j + 1:]
-        ok &= good.all(axis=0)
-    return ok
+    p = np.empty((n_qubits + 1, m))
+    np.divide(chis.T, binomials(n_qubits)[:, None], out=p)
+    rows = np.arange(m)  # the rows of chis that p still holds
+    for idx, w, diag in _mask_tables(n_qubits):
+        a = p[idx]
+        a *= w
+        for d in diag:
+            a[d] += DEFAULT_EIG_TOL
+        kept = None  # the columns of p still passing this block
+        for j in range(len(diag)):
+            # a packs columns j..s-1: a[0] is the pivot a[j, j], a[1:t + 1]
+            # the column below it and a[t + 1:] the trailing triangle
+            passed = a[0] > 0
+            if not passed.all():
+                keep = np.flatnonzero(passed)
+                if not len(keep):
+                    return np.zeros(m, dtype=bool)
+                kept = keep if kept is None else kept[keep]
+                a = a.take(keep, axis=1)
+            t = len(diag) - 1 - j  # rows below the pivot
+            col = a[1:t + 1] / a[0]
+            rest = a[t + 1:]
+            start = 0
+            for k in range(t):  # trailing column k: rows i = k..t-1
+                rest[start:start + t - k] -= col[k:] * a[1 + k]
+                start += t - k
+            a = rest
+        if kept is not None:
+            p = p.take(kept, axis=1)
+            rows = rows[kept]
+    mask = np.zeros(m, dtype=bool)
+    mask[rows] = True
+    return mask
 
 
 def is_ppt(state: GDSState, tol: float = DEFAULT_EIG_TOL) -> PptReport:

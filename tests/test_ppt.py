@@ -19,8 +19,8 @@ from gdscert import (
     sds_populations,
 )
 from gdscert import ppt, volume
-from gdscert.ppt import DEFAULT_EIG_TOL, _pt_blocks, pt_min_eigenvalues
-from gdscert.states import bernstein, is_hermitian
+from gdscert.ppt import DEFAULT_EIG_TOL, _block_tables, _pt_blocks, pt_min_eigenvalues
+from gdscert.states import bernstein, binomials, is_hermitian
 from gdscert.volume import ppt_pass_mask, sample_chis
 
 
@@ -160,6 +160,22 @@ def _boundary_chis(n, rng):
     return rows
 
 
+def _product_rows(n):
+    """Symmetric product states, y = 0, 1, 1/2 and 97 more in between."""
+    ys = np.concatenate([[0.0, 1.0, 0.5], np.linspace(0.01, 0.99, 97)])
+    return bernstein(n, ys).T
+
+
+def _sparse_rows(n, rng):
+    """Simplex rows with about 60 % of the populations zeroed, and the Dicke
+    levels."""
+    chis = rng.dirichlet(np.ones(n + 1), size=400)
+    chis[rng.random(chis.shape) < 0.6] = 0.0
+    chis = np.concatenate([chis, np.eye(n + 1)])
+    chis = chis[chis.sum(axis=1) > 0]
+    return chis / chis.sum(axis=1, keepdims=True)
+
+
 class TestDickeBlocks:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_block_spectrum_equals_dense_spectrum(self, n):
@@ -217,18 +233,11 @@ class TestCholeskyMask:
     def test_product_states_pass(self, n):
         # the Hankel blocks of one product state are rank 1: singular, so
         # only the tolerance makes their Cholesky pivots positive
-        ys = np.concatenate([[0.0, 1.0, 0.5], np.linspace(0.01, 0.99, 97)])
-        chis = bernstein(n, ys).T
-        assert ppt_pass_mask(n, chis).all()
+        assert ppt_pass_mask(n, _product_rows(n)).all()
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_sparse_rows_raise_no_warning(self, n):
-        rng = np.random.default_rng(200 + n)
-        chis = rng.dirichlet(np.ones(n + 1), size=400)
-        chis[rng.random(chis.shape) < 0.6] = 0.0
-        chis = np.concatenate([chis, np.eye(n + 1)])
-        chis = chis[chis.sum(axis=1) > 0]
-        chis /= chis.sum(axis=1, keepdims=True)
+        chis = _sparse_rows(n, np.random.default_rng(200 + n))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ppt_pass_mask(n, chis)
@@ -244,8 +253,9 @@ class TestCholeskyMask:
             assert not ppt_pass_mask(4, chi)[0]
 
     def test_large_n_raises_no_warning(self):
-        # a failed pivot must stop its block from changing; otherwise later
-        # columns grow the block until the products overflow at N = 20
+        # a row leaves the batch at the pivot it fails, so its block is not
+        # updated after the failure; were it updated, later columns would grow
+        # the block until the products overflow at N = 20
         chis = sample_chis(20, np.random.default_rng(7), 50_000)
         mask = ppt_pass_mask(20, chis)
         low = np.min([pt_min_eigenvalues(20, chis[:200], k) for k in range(1, 11)], axis=0)
@@ -278,7 +288,8 @@ class TestCholeskyMask:
 
     def test_working_set(self):
         # 50,000 rows at N = 4 in one unsliced batch: the mask holds p and the
-        # two middle-split blocks, not a stack per block size of every split
+        # packed lower triangle of one middle-split block at a time, of the
+        # rows still passing, not a stack per block size of every split
         chis = sample_chis(4, np.random.default_rng(1), 50_000)
         ppt_pass_mask(4, chis[:1])  # block tables are cached outside the window
         tracemalloc.start()
@@ -302,3 +313,155 @@ class TestCholeskyMask:
         np.testing.assert_array_equal(
             mask, np.concatenate([ppt_pass_mask(n, chis[:half]), ppt_pass_mask(n, chis[half:])])
         )
+
+
+def _reference_pass_mask(n_qubits, chis, passed=None):
+    """The square column elimination ``ppt_pass_mask`` ran before it went
+    rows last, kept as its frozen reference.
+
+    Every row goes through every column of both middle-split blocks; a
+    failed row's column is zeroed so that its block stops changing.  If
+    ``passed`` is a list, it receives one bool (m, s) array per block, in
+    the order the mask takes them: column j says the row's pivots 0..j
+    were all positive.
+    """
+    p = np.asarray(chis, dtype=float).T.copy()
+    p /= binomials(n_qubits)[:, None]
+    ok = np.ones(p.shape[1], dtype=bool)
+    for idx, w in _block_tables(n_qubits, n_qubits // 2, (0, -1)):
+        a = p[idx]  # (c, s, s, m)
+        a *= w[..., None]
+        diag = np.arange(a.shape[1])
+        a[:, diag, diag] += DEFAULT_EIG_TOL
+        good = np.ones((len(a), p.shape[1]), dtype=bool)
+        history = []
+        for j in diag:
+            good &= a[:, j, j] > 0
+            history.append(good.copy())
+            col = np.divide(a[:, j + 1:, j], a[:, j, None, j],
+                            out=np.zeros_like(a[:, j + 1:, j]), where=good[:, None])
+            a[:, j + 1:, j + 1:] -= col[:, :, None] * a[:, j, None, j + 1:]
+        ok &= good.all(axis=0)
+        if passed is not None:
+            passed.extend(np.stack(history, axis=-1))
+    return ok
+
+
+def _exits(passed):
+    """The (block, pivot) pairs at which failing rows leave the rows-last
+    elimination: the first failed pivot of the first failed block."""
+    alive = np.ones(len(passed[0]), dtype=bool)
+    exits = set()
+    for block, history in enumerate(passed):
+        leaving = alive & ~history[:, -1]
+        exits.update((block, int(j)) for j in np.argmin(history[leaving], axis=1))
+        alive &= history[:, -1]
+    return exits
+
+
+def _leaving_rows(n, rng):
+    """Rows that leave the elimination at every pivot of both blocks.
+
+    Each is built from a mixture of r = 1..N/2+2 product states: one
+    population lowered by a relative 1e-9 up to 2 (below zero), or a product
+    state of amplitude y outside [0, 1] mixed in with a positive or a
+    negative weight.  The latter keeps one Hankel block PSD and not the
+    other: at even N, H0 = [p_{i+j}] is a Gram matrix under the mixture's
+    measure mu and H1 = [p_{i+j+1}] one under y (1 - y) mu; at odd N they
+    are under (1 - y) mu and y mu.  The weight moves the first failed pivot
+    along the block.
+    """
+    rows = []
+    ys = np.array([-0.1, -0.001, 1.001, 1.1])
+    xs = np.geomspace(1e-12, 1, 7)[:, None, None] * np.array([1, -1])[:, None, None, None]
+    lowered = 1 - np.geomspace(1e-9, 2, 7)[:, None, None]
+    for r in range(1, n // 2 + 3):
+        base = bernstein(n, rng.random(r)) @ rng.dirichlet(np.ones(r))
+        rows.append(np.where(np.eye(n + 1, dtype=bool), base * lowered, base).reshape(-1, n + 1))
+        rows.append((base + xs * bernstein(n, ys).T).reshape(-1, n + 1))
+    return np.concatenate(rows)
+
+
+def _mixture_rows(n, rng, size):
+    """Mixtures of 1-3 product states with simplex weights, and their
+    midpoints with uniform simplex draws."""
+    rows = []
+    for terms in (1, 2, 3):
+        ys = rng.random((size, terms))
+        xs = rng.dirichlet(np.ones(terms), size=size)
+        mixtures = np.einsum("mt,nmt->mn", xs, bernstein(n, ys.ravel()).reshape(n + 1, size, terms))
+        rows += [mixtures, 0.5 * (mixtures + sample_chis(n, rng, size))]
+    return np.concatenate(rows)
+
+
+class TestFrozenReference:
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_equals_square_elimination(self, n):
+        rng = np.random.default_rng(400 + n)
+        leaving = _leaving_rows(n, rng)
+        passed = []
+        np.testing.assert_array_equal(
+            ppt_pass_mask(n, leaving), _reference_pass_mask(n, leaving, passed)
+        )
+        assert _exits(passed) == {(b, j) for b, h in enumerate(passed) for j in range(h.shape[1])}
+        for chis in (
+            sample_chis(n, rng, 500),
+            _mixture_rows(n, rng, 200),
+            _sparse_rows(n, rng),
+            _product_rows(n),
+        ):
+            np.testing.assert_array_equal(ppt_pass_mask(n, chis), _reference_pass_mask(n, chis))
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7, 12])
+    def test_empty_all_fail_and_all_pass_batches(self, n):
+        rng = np.random.default_rng(500 + n)
+        fail_first = -sample_chis(n, rng, 50)  # every row fails the first pivot
+        leaving = _leaving_rows(n, rng)
+        fail_later = leaving[~_reference_pass_mask(n, leaving)]
+        for chis, want in (
+            (np.empty((0, n + 1)), np.ones(0, dtype=bool)),
+            (fail_first, np.zeros(50, dtype=bool)),
+            (fail_later, np.zeros(len(fail_later), dtype=bool)),
+            (_product_rows(n), np.ones(100, dtype=bool)),
+        ):
+            mask = ppt_pass_mask(n, chis)
+            assert mask.shape == (len(chis),) and mask.dtype == bool
+            np.testing.assert_array_equal(mask, want)
+
+    @pytest.mark.parametrize("shape", [(5,), (0,), (3, 4), (3, 6), (2, 5, 1)])
+    def test_malformed_batch_names_the_expected_shape(self, shape):
+        with pytest.raises(ValueError, match=r"\(m, 5\)"):
+            ppt_pass_mask(4, np.full(shape, 0.2))
+
+
+def _separable_blend(n, seed, ts):
+    """Rows (1 - t) * uniform draw + t * separable state, one per t: small t
+    leaves the elimination early, large t late or never."""
+    rng = np.random.default_rng(seed)
+    separable = sds_populations(random_sds_params(n, rng)).populations
+    t = np.array(ts)[:, None]
+    return (1.0 - t) * sample_chis(n, rng, len(ts)) + t * separable
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=14),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    ts=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=40),
+)
+def test_pass_mask_of_batch_is_stacked_row_masks(n, seed, ts):
+    chis = _separable_blend(n, seed, ts)
+    rows = [ppt_pass_mask(n, chi[None])[0] for chi in chis]
+    np.testing.assert_array_equal(ppt_pass_mask(n, chis), np.array(rows, dtype=bool))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=14),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    ts=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=40),
+)
+def test_pass_mask_commutes_with_row_permutations(n, seed, ts):
+    chis = _separable_blend(n, seed, ts)
+    perm = np.random.default_rng(seed).permutation(len(chis))
+    np.testing.assert_array_equal(ppt_pass_mask(n, chis[perm]), ppt_pass_mask(n, chis)[perm])
