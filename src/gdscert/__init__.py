@@ -24,7 +24,6 @@ from .decompose import (
     check_population_bounds,
     population_bound,
     solve_decomposition,
-    solve_n4_closed_form,
     to_power_moments,
 )
 from .superrad import (
@@ -40,7 +39,6 @@ from .volume import (
     VolumeEstimate,
     gds_volume,
     ppt_gds_volume,
-    sample_gds_simplex,
     sds_volume_formula,
     sds_volume_mc,
 )
@@ -71,13 +69,11 @@ __all__ = [
     "ppt_gds_volume",
     "pt_min_eigenvalues",
     "random_sds_params",
-    "sample_gds_simplex",
     "sds_density_matrix_phase_avg",
     "sds_populations",
     "sds_volume_formula",
     "sds_volume_mc",
     "solve_decomposition",
-    "solve_n4_closed_form",
     "to_power_moments",
     "trajectory",
 ]

@@ -23,9 +23,13 @@ OUTDIR_ENV = "GDSCERT_OUTDIR"
 
 def _csv(header, rows) -> str:
     """CSV text of ``header`` and ``rows``; a cell that is not a str is a
-    number, printed with 17 significant digits."""
-    lines = [header] + [[v if isinstance(v, str) else f"{float(v):.17g}" for v in row]
-                        for row in rows]
+    number, printed with 17 significant digits, or None, printed as nan."""
+    def cell(v):
+        if isinstance(v, str):
+            return v
+        return "nan" if v is None else f"{float(v):.17g}"
+
+    lines = [header] + [[cell(v) for v in row] for row in rows]
     return "".join(",".join(line) + "\n" for line in lines)
 
 
@@ -153,22 +157,19 @@ def cmd_certify(n_qubits, chi_file, tau_spec, tol, out, fmt):
     for tau, state in sweep:
         result = decompose.certify(state, epsilon=tol)
         all_ok &= result.certified
+        # an uncertified point has no parameters: nan in CSV, null in JSON
+        xs = ys = [None] * jm
         if result.certified:
-            xs = result.certificate.weights
-            ys = result.certificate.amplitudes
-        else:
-            xs = ys = [float("nan")] * jm
+            xs = result.certificate.weights.tolist()
+            ys = result.certificate.amplitudes.tolist()
         rows.append((tau, xs, ys, result.verdict))
     if fmt == "csv":
         header = (["tau"] + [f"x_{j + 1}" for j in range(jm)]
                   + [f"y_{j + 1}" for j in range(jm)] + ["verdict"])
         _emit(out, _csv(header, [[tau, *xs, *ys, verdict] for tau, xs, ys, verdict in rows]))
     else:
-        payload = [
-            {"tau": float(tau), "x": [float(v) for v in xs],
-             "y": [float(v) for v in ys], "verdict": verdict}
-            for tau, xs, ys, verdict in rows
-        ]
+        payload = [{"tau": float(tau), "x": xs, "y": ys, "verdict": verdict}
+                   for tau, xs, ys, verdict in rows]
         _emit(out, json.dumps(payload, indent=2) + "\n")
     sys.exit(0 if all_ok else 1)
 

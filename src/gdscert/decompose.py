@@ -118,35 +118,30 @@ def to_power_moments(state: GDSState) -> np.ndarray:
 
 
 def _assemble(n: int, nodes: np.ndarray, weights: np.ndarray, chi: np.ndarray) -> SDSDecomposition:
-    max_binom = binomials(n).max()
-    terms = []
-    for x, y in zip(weights, nodes):
-        # a term is droppable only if its largest possible contribution to
-        # any population is negligible; |x| alone is not enough (a tiny
-        # weight on a far-out node can still carry O(1) contribution)
-        contrib = abs(x) * max(abs(y), abs(1 - y), 1.0) ** n * max_binom
-        terms.append((0.0, 0.0) if contrib <= _NEGLIGIBLE_WEIGHT else (float(x), float(y)))
-    while len(terms) < j_max(n):
-        terms.append((0.0, 0.0))
-    xs = np.array([t[0] for t in terms])
-    ys = np.array([t[1] for t in terms])
-    residual = float(np.max(np.abs(bernstein(n, ys) @ xs - chi)))
-    return SDSDecomposition(n_qubits=n, terms=tuple(terms), residual=residual)
+    # a term is droppable only if its largest possible contribution to any
+    # population is negligible; |x| alone is not enough (a tiny weight on a
+    # far-out node can still carry O(1) contribution)
+    reach = np.maximum(np.maximum(np.abs(nodes), np.abs(1 - nodes)), 1.0) ** n
+    drop = np.abs(weights) * reach * binomials(n).max() <= _NEGLIGIBLE_WEIGHT
+    xy = np.zeros((2, j_max(n)))  # rows: weights, nodes; padded with (0, 0) terms
+    xy[:, : len(nodes)] = np.where(drop, 0.0, (weights, nodes))
+    residual = float(np.max(np.abs(bernstein(n, xy[1]) @ xy[0] - chi)))
+    return SDSDecomposition(n_qubits=n, terms=tuple(zip(*xy.tolist())), residual=residual)
 
 
 def solve_decomposition(state: GDSState) -> SDSDecomposition:
     """Solve the population equations for mixture parameters (x_j, y_j).
 
-    With h free nodes (h = (N+1)/2 for odd N, N/2 for even N), s = 1 for
-    even N and 0 for odd N, and c_i = C(h-1, i), take the h x h matrices
-    A[i, j] = c_i c_j p_{i+j+s+1} and B[i, j] = c_i c_j p_{i+j+s}.  For the
-    measure mu = sum_j x_j delta_{y_j}, G = A + B is the Gram matrix of the
-    Bernstein basis c_i y^i (1 - y)^(h-1-i) under y^s mu, and A is the same
-    matrix with an extra factor y; the eigenvalues of the pencil (A, G) are
-    therefore the nodes, exactly when the state has at most h free nodes and
-    as the Gauss (odd N) or Gauss-Radau (even N, node pinned at 0) rule
-    otherwise.  The rank of G is the number of nodes: eigenvalues of G at or
-    below h * eps * max|g|, the ``numpy.linalg.matrix_rank`` cut, are dropped.
+    With h = floor((N+1)/2) free nodes, s = 1 for even N and 0 for odd N,
+    and c_i = C(h-1, i), take the h x h matrices A[i, j] = c_i c_j p_{i+j+s+1}
+    and B[i, j] = c_i c_j p_{i+j+s}.  For the measure mu = sum_j x_j delta_{y_j},
+    G = A + B is the Gram matrix of the Bernstein basis c_i y^i (1 - y)^(h-1-i)
+    under y^s mu, and A is the same matrix with an extra factor y; the
+    eigenvalues of the pencil (A, G) are therefore the nodes, exactly when the
+    state has at most h free nodes and as the Gauss (odd N) or Gauss-Radau
+    (even N, node pinned at 0) rule otherwise.  The rank of G is the number of
+    nodes: eigenvalues of G at or below h * eps * max|g|, the
+    ``numpy.linalg.matrix_rank`` cut, are dropped.
     The Bernstein basis sums to 1 on [0, 1], which keeps G far better
     conditioned than the unscaled Hankel matrices of p.  Nodes of an
     entangled state may fall outside [0, 1] and weights may be negative;
@@ -154,7 +149,7 @@ def solve_decomposition(state: GDSState) -> SDSDecomposition:
     """
     n = state.n_qubits
     pinned = n % 2 == 0
-    h = n // 2 if pinned else (n + 1) // 2
+    h = (n + 1) // 2
     p = state.populations / binomials(n)
     idx = np.add.outer(np.arange(h), np.arange(h)) + pinned
     scale = np.outer(binomials(h - 1), binomials(h - 1))
@@ -175,49 +170,6 @@ def solve_decomposition(state: GDSState) -> SDSDecomposition:
     return _assemble(n, nodes, weights, state.populations)
 
 
-def solve_n4_closed_form(state: GDSState) -> SDSDecomposition:
-    """Closed-form decomposition for N = 4: explicit y+/-, x+/- expressions.
-
-    Independent oracle for the general solver.  Raises on coincident nodes
-    (vanishing discriminant denominators) and on complex nodes (negative
-    discriminant, which only entangled states have); callers fall back to
-    the general solver, which handles them.
-    """
-    if state.n_qubits != 4:
-        raise ValueError("closed form applies to N=4 only")
-    chi = state.populations
-    c04, c13, c22, c31, c40 = (chi[0], chi[1], chi[2], chi[3], chi[4])
-
-    den = 4 * c22**2 + 6 * (c31 - 4 * c40) * c22 + 9 * c31**2 - 9 * c13 * (c31 + 4 * c40)
-    if abs(den) < 1e-14:
-        raise SolverDegenerateError("node-formula denominator vanishes")
-    num = 9 * c31**2 - 18 * c13 * c40 + 3 * c22 * (c31 - 8 * c40)
-    rad = (
-        324 * c13**2 * c40**2
-        + 12 * c22 * (8 * c22**2 - 27 * c13 * c31) * c40
-        - 27 * (c22**2 - 3 * c13 * c31) * c31**2
-    )
-    if rad < 0:
-        raise SolverDegenerateError("negative discriminant: complex nodes")
-    root = np.sqrt(rad)
-    y_p = (num + root) / den
-    y_m = (num - root) / den
-    if abs(y_p - y_m) < 1e-12:
-        raise SolverDegenerateError("coincident nodes y+ = y-")
-
-    def x_for(y_this, y_other):
-        d = 6 * y_this**2 * (y_this - y_other) * (y_this * (2 * y_other - 1) - y_other)
-        if abs(d) < 1e-300:
-            raise SolverDegenerateError("weight-formula denominator vanishes")
-        return (y_other**2 * c22 - 6 * (y_other - 1) ** 2 * c40) / d
-
-    x_p = x_for(y_p, y_m)
-    x_m = x_for(y_m, y_p)
-    x3 = 1.0 - x_p - x_m
-
-    return _assemble(4, np.array([y_p, y_m, 0.0]), np.array([x_p, x_m, x3]), chi)
-
-
 def certify(state: GDSState, epsilon: float = DEFAULT_EPSILON) -> CertificationResult:
     """Run the decomposition solver and apply the convexity sanity check.
 
@@ -231,29 +183,24 @@ def certify(state: GDSState, epsilon: float = DEFAULT_EPSILON) -> CertificationR
     try:
         dec = solve_decomposition(state)
     except SolverDegenerateError:
+        dec = None
+    if dec is None or dec.residual > epsilon:
         return CertificationResult(
             verdict=VERDICT_NOT_CERTIFIED, tolerance=epsilon, reason=REASON_DEGENERATE
         )
-    if dec.residual > epsilon:
+    params = np.array(dec.terms).T.ravel()  # x_1..x_J, y_1..y_J
+    bad = np.flatnonzero((params < -epsilon) | (params > 1.0 + epsilon))
+    if bad.size:
+        i = int(bad[0])
         return CertificationResult(
-            verdict=VERDICT_NOT_CERTIFIED, tolerance=epsilon, reason=REASON_DEGENERATE
+            verdict=VERDICT_NOT_CERTIFIED,
+            tolerance=epsilon,
+            reason=REASON_OUT_OF_RANGE,
+            offending=(i, float(params[i])),
         )
-    params = np.concatenate((dec.weights, dec.amplitudes))
-    for i, v in enumerate(params):
-        if v < -epsilon or v > 1.0 + epsilon:
-            return CertificationResult(
-                verdict=VERDICT_NOT_CERTIFIED,
-                tolerance=epsilon,
-                reason=REASON_OUT_OF_RANGE,
-                offending=(i, float(v)),
-            )
-    jm = len(dec.terms)
-    clamped = tuple(
-        (float(np.clip(params[j], 0.0, 1.0)), float(np.clip(params[jm + j], 0.0, 1.0)))
-        for j in range(jm)
-    )
+    clamped = np.clip(params, 0.0, 1.0).reshape(2, -1).tolist()
     certificate = SDSDecomposition(
-        n_qubits=dec.n_qubits, terms=clamped, residual=dec.residual
+        n_qubits=dec.n_qubits, terms=tuple(zip(*clamped)), residual=dec.residual
     ).canonicalize()
     return CertificationResult(
         verdict=VERDICT_CERTIFIED, tolerance=epsilon, certificate=certificate

@@ -23,7 +23,7 @@ import numpy as np
 # partial_transpose and ppt_pass_mask are re-exported: the traced benchmark
 # run (perfbench/tracing.py) patches them here.
 from .ppt import partial_transpose, ppt_pass_mask  # noqa: F401
-from .states import GDSState, j_max
+from .states import j_max
 
 METHOD_INDICATOR = "MC-indicator"
 METHOD_JACOBIAN = "MC-jacobian"
@@ -64,9 +64,10 @@ class VolumeEstimate:
 def _mc_estimate(n_samples, chunk_size, seed, scale, method, draw) -> VolumeEstimate:
     """Mean and standard error of ``draw`` over ``n_samples`` samples, scaled.
 
-    ``draw(rng, m)`` returns the integrand at m fresh samples.  Chunk i has
-    ``chunk_size`` samples (the last one the remainder) and its own
-    generator on stream i of ``SeedSequence(seed)``.  Each chunk is drawn in
+    ``draw(rng, m)`` returns the integrand at m fresh samples (an indicator
+    may return its bool mask).  Chunk i has ``chunk_size`` samples (the last
+    one the remainder) and its own generator on stream i of
+    ``SeedSequence(seed)``.  Each chunk is drawn in
     slices of at most ``SLICE_ROWS`` samples from that one generator; a
     draw that takes its rows from a single row-major stream (``sample_chis``)
     gives the same rows sliced or whole, so an integrand of 0s and 1s, whose
@@ -100,11 +101,6 @@ def sample_chis(n_qubits: int, rng: np.random.Generator, size: int) -> np.ndarra
     e = rng.standard_exponential(size=(size, n_qubits + 1))
     e /= e.sum(axis=1, keepdims=True)
     return e
-
-
-def sample_gds_simplex(n_qubits: int, rng: np.random.Generator) -> GDSState:
-    """One state drawn uniformly (flat population measure) from the simplex."""
-    return GDSState(n_qubits=n_qubits, populations=sample_chis(n_qubits, rng, 1)[0])
 
 
 def gds_volume(n_qubits: int) -> Fraction:
@@ -145,7 +141,7 @@ def ppt_gds_volume(n_qubits: int, n_samples: int, seed: int) -> VolumeEstimate:
     """
     def draw(rng, m):
         chis = sample_chis(n_qubits, rng, m)
-        return ppt_pass_mask(n_qubits, chis).astype(float)
+        return ppt_pass_mask(n_qubits, chis)
 
     # The chunk sizes fix which samples each per-chunk seed stream draws,
     # so changing this rule would change every estimate at N >= 5, although

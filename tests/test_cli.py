@@ -189,6 +189,24 @@ class TestCertify:
         assert payload["verdict"] == "CertifiedSeparable"
         assert payload["residual"] <= 1e-9
 
+    def test_uncertified_sweep_points_are_null_in_json(self, runner):
+        # a zero tolerance leaves every point uncertified; JSON has no NaN
+        # token, so their parameters are null there and nan in CSV
+        args = ["certify", "--n", "6", "--superrad-tau", "1e-3:10:4:geom", "--tol", "0"]
+        result = runner.invoke(main, args + ["--format", "json"])
+        assert result.exit_code == 1
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        payload = json.loads(result.output, parse_constant=reject)
+        assert len(payload) == 4
+        for point in payload:
+            assert point["verdict"] == "NotCertified"
+            assert point["x"] == [None] * 4 and point["y"] == [None] * 4
+        rows = runner.invoke(main, args).output.strip().split("\n")[1:]
+        assert [row.split(",")[1:-1] for row in rows] == [["nan"] * 8] * 4
+
     def test_requires_exactly_one_source(self, runner):
         assert runner.invoke(main, ["certify", "--n", "4"]).exit_code == 2
 

@@ -8,26 +8,72 @@ from hypothesis import strategies as st
 
 from gdscert import (
     GDSState,
+    SDSDecomposition,
     SolverDegenerateError,
     certify,
     check_population_bounds,
     evolve,
+    j_max,
     population_bound,
     random_sds_params,
     sds_populations,
     solve_decomposition,
-    solve_n4_closed_form,
     to_power_moments,
     trajectory,
 )
 from gdscert.decompose import (
+    DEFAULT_EPSILON,
     REASON_DEGENERATE,
     REASON_OUT_OF_RANGE,
     VERDICT_CERTIFIED,
+    _assemble,
 )
 from gdscert.ppt import _pt_blocks
 from gdscert.states import bernstein
 from gdscert.volume import ppt_pass_mask, sample_chis
+
+
+def solve_n4_closed_form(state: GDSState) -> SDSDecomposition:
+    """Closed-form decomposition for N = 4: explicit y+/-, x+/- expressions.
+
+    Independent oracle for the general solver, ``solve_decomposition``.
+    Raises on coincident nodes (vanishing discriminant denominators) and on
+    complex nodes (negative discriminant, which only entangled states have);
+    callers fall back to the general solver, which handles them.
+    """
+    if state.n_qubits != 4:
+        raise ValueError("closed form applies to N=4 only")
+    chi = state.populations
+    c04, c13, c22, c31, c40 = (chi[0], chi[1], chi[2], chi[3], chi[4])
+
+    den = 4 * c22**2 + 6 * (c31 - 4 * c40) * c22 + 9 * c31**2 - 9 * c13 * (c31 + 4 * c40)
+    if abs(den) < 1e-14:
+        raise SolverDegenerateError("node-formula denominator vanishes")
+    num = 9 * c31**2 - 18 * c13 * c40 + 3 * c22 * (c31 - 8 * c40)
+    rad = (
+        324 * c13**2 * c40**2
+        + 12 * c22 * (8 * c22**2 - 27 * c13 * c31) * c40
+        - 27 * (c22**2 - 3 * c13 * c31) * c31**2
+    )
+    if rad < 0:
+        raise SolverDegenerateError("negative discriminant: complex nodes")
+    root = np.sqrt(rad)
+    y_p = (num + root) / den
+    y_m = (num - root) / den
+    if abs(y_p - y_m) < 1e-12:
+        raise SolverDegenerateError("coincident nodes y+ = y-")
+
+    def x_for(y_this, y_other):
+        d = 6 * y_this**2 * (y_this - y_other) * (y_this * (2 * y_other - 1) - y_other)
+        if abs(d) < 1e-300:
+            raise SolverDegenerateError("weight-formula denominator vanishes")
+        return (y_other**2 * c22 - 6 * (y_other - 1) ** 2 * c40) / d
+
+    x_p = x_for(y_p, y_m)
+    x_m = x_for(y_m, y_p)
+    x3 = 1.0 - x_p - x_m
+
+    return _assemble(4, np.array([y_p, y_m, 0.0]), np.array([x_p, x_m, x3]), chi)
 
 
 def _sorted_terms(dec):
@@ -116,6 +162,33 @@ class TestSolveDecomposition:
                 params = random_sds_params(n, rng)
                 dec = solve_decomposition(sds_populations(params))
                 assert dec.residual <= 1e-9
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_assemble_matches_per_term_rule(self, n):
+        # per-term reference: a term is dropped iff its largest possible
+        # contribution to a population is negligible, then (0, 0) pads to j_max
+        max_binom = float(comb(n, n // 2))
+        rng = np.random.default_rng(n)
+        chi = sample_chis(n, rng, 1)[0]
+        dropped = kept = 0
+        for k in range(1, j_max(n) + 1):  # a rank-deficient pencil gives fewer nodes
+            for _ in range(50):
+                nodes = rng.uniform(-3.0, 4.0, k)
+                weights = rng.choice([1.0, 1e-9, 1e-13, 1e-17, 1e-25], k) * rng.normal(size=k)
+                expected = [
+                    (0.0, 0.0)
+                    if abs(x) * max(abs(y), abs(1 - y), 1.0) ** n * max_binom <= 1e-12
+                    else (float(x), float(y))
+                    for x, y in zip(weights, nodes)
+                ]
+                dropped += expected.count((0.0, 0.0))
+                kept += k - expected.count((0.0, 0.0))
+                expected += [(0.0, 0.0)] * (j_max(n) - k)
+                xs, ys = np.array(expected).T
+                dec = _assemble(n, nodes, weights, chi)
+                assert dec.terms == tuple(expected)
+                assert dec.residual == float(np.max(np.abs(bernstein(n, ys) @ xs - chi)))
+        assert dropped and kept
 
 
 class TestClosedFormN4:
@@ -284,6 +357,34 @@ def test_decompositions_are_real(n, raw):
     else:
         assert all(type(x) is float and type(y) is float for x, y in dec.terms)
     assert certify(state).reason in (None, REASON_OUT_OF_RANGE, REASON_DEGENERATE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=16),
+    raw=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=17, max_size=17),
+    mix=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_offending_parameter_and_certificate_shape(n, raw, mix, seed):
+    weights = np.array(raw[: n + 1])
+    assume(weights.sum() > 0.0)
+    separable = sds_populations(random_sds_params(n, np.random.default_rng(seed)))
+    state = GDSState(n, (1.0 - mix) * weights / weights.sum() + mix * separable.populations)
+    result = certify(state)
+    if result.reason == REASON_OUT_OF_RANGE:
+        # the first of (x_1..x_J, y_1..y_J) outside [-eps, 1 + eps], by a scalar scan
+        terms = solve_decomposition(state).terms
+        params = [x for x, _ in terms] + [y for _, y in terms]
+        eps = DEFAULT_EPSILON
+        i = next(k for k, v in enumerate(params) if v < -eps or v > 1.0 + eps)
+        assert result.offending == (i, params[i])
+        assert type(result.offending[0]) is int and type(result.offending[1]) is float
+    if result.certified:
+        terms = result.certificate.terms
+        assert len(terms) == j_max(n)
+        assert all(type(v) is float and 0.0 <= v <= 1.0 for term in terms for v in term)
+        assert list(terms) == sorted(terms, key=lambda t: (-t[0], -t[1]))
 
 
 class TestPopulationBound:

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gdscert import (
+    GDSState,
     gds_volume,
     j_max,
     ppt_gds_volume,
-    sample_gds_simplex,
     sds_volume_formula,
     sds_volume_mc,
 )
@@ -45,7 +45,7 @@ class TestSimplexSampling:
     def test_samples_are_valid_states(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            st = sample_gds_simplex(5, rng)
+            st = GDSState(5, sample_chis(5, rng, 1)[0])
             assert abs(st.populations.sum() - 1.0) <= 1e-12
             assert st.populations.min() >= 0.0
 
