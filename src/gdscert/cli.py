@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import click
@@ -33,23 +34,25 @@ def _csv(header, rows) -> str:
     return "".join(",".join(line) + "\n" for line in lines)
 
 
-def _parse_tau_grid(spec: str) -> np.ndarray:
+def _trajectory(n_qubits: int, spec: str) -> superrad.Trajectory:
+    """The cascade on the time grid ``spec``, min:max:points:lin|geom; a grid
+    on which its propagator overflows (at large tau) is a usage error too."""
     try:
         lo_s, hi_s, pts_s, kind = spec.split(":")
         lo, hi, pts = float(lo_s), float(hi_s), int(pts_s)
     except ValueError:
-        raise click.UsageError(
-            f"bad --tau spec {spec!r}; expected min:max:points:lin|geom"
-        )
+        raise click.UsageError(f"bad --tau spec {spec!r}; expected min:max:points:lin|geom")
     if pts < 1 or not np.isfinite([lo, hi]).all() or hi <= lo or lo < 0:
         raise click.UsageError(f"bad --tau range in {spec!r}")
-    if kind == "lin":
-        return np.linspace(lo, hi, pts)
-    if kind == "geom":
-        if lo <= 0:
-            raise click.UsageError("geometric grids need min > 0")
-        return np.geomspace(lo, hi, pts)
-    raise click.UsageError(f"unknown grid spacing {kind!r} (use lin or geom)")
+    if kind not in ("lin", "geom"):
+        raise click.UsageError(f"unknown grid spacing {kind!r} (use lin or geom)")
+    if kind == "geom" and lo <= 0:
+        raise click.UsageError("geometric grids need min > 0")
+    grid = (np.linspace if kind == "lin" else np.geomspace)(lo, hi, pts)
+    try:
+        return superrad.trajectory(n_qubits, grid)
+    except ValueError as exc:
+        raise click.UsageError(f"cannot evaluate the cascade on {spec!r}: {exc}")
 
 
 def _check_tol(ctx, param, value: float) -> float:
@@ -84,8 +87,8 @@ def _state_source(n_qubits, chi_file, tau_spec):
         return _load_state(chi_file, n_qubits), None
     if n_qubits is None:
         raise click.UsageError("--superrad-tau needs --n")
-    grid = _parse_tau_grid(tau_spec)
-    return None, list(zip(grid, superrad.trajectory(n_qubits, grid).states))
+    traj = _trajectory(n_qubits, tau_spec)
+    return None, list(zip(traj.tau_grid, traj.states))
 
 
 def _emit(out: str | None, text: str):
@@ -118,8 +121,8 @@ def main():
               show_default=True)
 def cmd_superrad(n_qubits, tau_spec, out, fmt):
     """Superradiant populations on a time grid (plot-ready data)."""
-    grid = _parse_tau_grid(tau_spec)
-    traj = superrad.trajectory(n_qubits, grid)
+    traj = _trajectory(n_qubits, tau_spec)
+    grid = traj.tau_grid
     if fmt == "csv":
         header = ["tau"] + [f"chi_n0_{k}" for k in range(n_qubits + 1)]
         rows = [[tau, *row] for tau, row in zip(grid, traj.populations_table())]
@@ -206,7 +209,8 @@ def cmd_ppt(n_qubits, chi_file, tau_spec, tol, out):
 @click.option("--n", "n_qubits", type=click.IntRange(min=1), required=True)
 @click.option("--samples", type=click.IntRange(min=1), default=None,
               help="Monte-Carlo sample count.")
-@click.option("--seed", type=int, default=None, help="RNG seed (required for MC).")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="RNG seed (required for MC).")
 @click.option("--out", default=None, help="Output file (default: stdout).")
 def cmd_volume(estimator, n_qubits, samples, seed, out):
     """State-space volume estimates in the population metric."""
@@ -223,7 +227,9 @@ def cmd_volume(estimator, n_qubits, samples, seed, out):
     else:
         exact = volume.sds_volume_formula if estimator == "sds-formula" else volume.gds_volume
         val = exact(n_qubits)
-        payload = {"mean": float(val), "exact": f"{val.numerator}/{val.denominator}",
+        # Decimal prints an int of any length; str(int) stops at 4300 digits
+        exact_text = f"{Decimal(val.numerator)}/{Decimal(val.denominator)}"
+        payload = {"mean": float(val), "exact": exact_text,
                    "method": volume.METHOD_ANALYTIC}
     _emit(out, json.dumps(payload, indent=2) + "\n")
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -207,6 +208,7 @@ def certify(state: GDSState, epsilon: float = DEFAULT_EPSILON) -> CertificationR
     )
 
 
+@lru_cache(maxsize=None)
 def population_bound(n_qubits: int, n0: int) -> float:
     """Largest population of level n0 attainable by any separable GDS state:
     (n0^n0 / n0!) (n1^n1 / n1!) (N! / N^N), with 0^0 = 1."""

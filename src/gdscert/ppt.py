@@ -186,7 +186,7 @@ def ppt_pass_mask(n_qubits: int, chis: np.ndarray) -> np.ndarray:
     one's two triangles differ in the last bits, so the pivots may too, and
     the test checks that the verdicts agree.  Rows are independent, so a
     row's verdict does not depend on the batch it comes in, and the caller
-    sizes the batch (``volume`` passes slices of ``volume.SLICE_ROWS``).
+    sizes the batch (``volume._mc_estimate`` passes at most ``SLICE_ROWS`` rows).
     """
     chis = np.asarray(chis, dtype=float)
     if chis.ndim != 2 or chis.shape[1] != n_qubits + 1:

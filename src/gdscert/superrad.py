@@ -122,9 +122,9 @@ def trajectory(n_qubits: int, tau_grid) -> Trajectory:
     gen = generator(n_qubits)
     chi0 = np.zeros(n_qubits + 1)
     chi0[0] = 1.0
-    states = []
-    for tau in grid:
-        chi = expm(tau * gen) @ chi0
-        states.append(GDSState(n_qubits=n_qubits, populations=chi))
+    # one batched propagator; the product with chi0, unlike its column 0,
+    # turns the propagator's -0.0 entries into 0.0
+    chis = expm(grid[:, None, None] * gen) @ chi0
+    states = tuple(GDSState(n_qubits=n_qubits, populations=chi) for chi in chis)
     grid.setflags(write=False)
-    return Trajectory(n_qubits=n_qubits, tau_grid=grid, states=tuple(states))
+    return Trajectory(n_qubits=n_qubits, tau_grid=grid, states=states)

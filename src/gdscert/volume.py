@@ -2,13 +2,11 @@
 
 All volumes use the flat measure on the population simplex (an
 unconventional metric chosen for tractability, not a canonical state-space
-measure).  A Monte-Carlo estimator splits its samples into chunks of a
-fixed size, and chunk i draws from the i-th child stream of the seed's
-``SeedSequence``.  Within a chunk the samples are drawn and evaluated in
-slices of at most ``SLICE_ROWS`` rows that continue the chunk's generator,
-so the working set stays in cache; ``ppt_pass_mask`` takes each slice
-whole.  The chunk sizes, the slice size and the seed therefore fix every
-sample, so identical (seed, args) reproduce bit-identical numbers.
+measure).  Both Monte-Carlo estimators leave the partition of their samples
+to ``_mc_estimate``: chunks of ``DEFAULT_CHUNK`` samples, chunk i drawn from
+stream i of ``SeedSequence(seed)`` in slices of at most ``SLICE_ROWS`` rows.
+The seed therefore fixes every sample, so identical (seed, args) reproduce
+bit-identical numbers.
 """
 
 from __future__ import annotations
@@ -61,22 +59,22 @@ class VolumeEstimate:
         }
 
 
-def _mc_estimate(n_samples, chunk_size, seed, scale, method, draw) -> VolumeEstimate:
+def _mc_estimate(n_samples, seed, scale, method, draw) -> VolumeEstimate:
     """Mean and standard error of ``draw`` over ``n_samples`` samples, scaled.
 
     ``draw(rng, m)`` returns the integrand at m fresh samples (an indicator
-    may return its bool mask).  Chunk i has ``chunk_size`` samples (the last
-    one the remainder) and its own generator on stream i of
-    ``SeedSequence(seed)``.  Each chunk is drawn in
-    slices of at most ``SLICE_ROWS`` samples from that one generator; a
-    draw that takes its rows from a single row-major stream (``sample_chis``)
-    gives the same rows sliced or whole, so an integrand of 0s and 1s, whose
-    sums are exact, gives the same estimate either way.
+    may return its bool mask).  Chunk i has ``DEFAULT_CHUNK`` samples (the
+    last one the remainder) and its own generator on stream i of
+    ``SeedSequence(seed)``, whatever the integrand and N.  Each chunk is
+    drawn in slices of at most ``SLICE_ROWS`` samples from that one
+    generator; a draw that takes its rows from a single row-major stream
+    (``sample_chis``) gives the same rows sliced or whole, so an integrand of
+    0s and 1s, whose sums are exact, gives the same estimate either way.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    full, rem = divmod(n_samples, chunk_size)
-    chunks = [chunk_size] * full + ([rem] if rem else [])
+    full, rem = divmod(n_samples, DEFAULT_CHUNK)
+    chunks = [DEFAULT_CHUNK] * full + ([rem] if rem else [])
     acc_sum = acc_sumsq = 0.0
     for m, ss in zip(chunks, np.random.SeedSequence(seed).spawn(len(chunks))):
         rng = np.random.default_rng(ss)
@@ -143,13 +141,7 @@ def ppt_gds_volume(n_qubits: int, n_samples: int, seed: int) -> VolumeEstimate:
         chis = sample_chis(n_qubits, rng, m)
         return ppt_pass_mask(n_qubits, chis)
 
-    # The chunk sizes fix which samples each per-chunk seed stream draws,
-    # so changing this rule would change every estimate at N >= 5, although
-    # the slices of _mc_estimate already bound the memory.
-    dim = 1 << n_qubits
-    chunk_size = max(1_000, min(DEFAULT_CHUNK, (1 << 25) // (dim * dim)))
-    return _mc_estimate(n_samples, chunk_size, seed, float(gds_volume(n_qubits)),
-                        METHOD_INDICATOR, draw)
+    return _mc_estimate(n_samples, seed, float(gds_volume(n_qubits)), METHOD_INDICATOR, draw)
 
 
 def jacobian_n4(x1, x2, y1, y2):
@@ -260,6 +252,5 @@ def sds_volume_mc(n_qubits: int, n_samples: int, seed: int) -> VolumeEstimate:
             values *= 0.5
         return values
 
-    return _mc_estimate(n_samples, DEFAULT_CHUNK, seed,
-                        1 / (factorial(jm - 1) * factorial(n_free)),
+    return _mc_estimate(n_samples, seed, 1 / (factorial(jm - 1) * factorial(n_free)),
                         METHOD_JACOBIAN, draw)

@@ -3,11 +3,14 @@ import gc
 import io
 import json
 import weakref
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from gdscert import gds_volume, sds_volume_formula
 from gdscert.cli import main
 
 
@@ -52,6 +55,26 @@ def test_n_disagreeing_with_state_file_is_usage_error(runner, tmp_path, command)
     assert result.exit_code == 2
     assert "--n disagrees with the state file" in result.stderr
     assert result.stdout == ""
+
+
+# inputs from outside the program that once crashed with exit 1, which
+# certify and ppt use for a negative verdict; the cascade's propagator
+# overflows from tau of about 3.6e37 at N = 4 and 6.0e36 at N = 10
+BAD_INPUTS = {
+    "volume-ppt-negative-seed": ["volume", "--estimator", "ppt", "--n", "2",
+                                 "--samples", "10", "--seed", "-1"],
+    "volume-sds-mc-negative-seed": ["volume", "--estimator", "sds-mc", "--n", "2",
+                                    "--samples", "10", "--seed", "-1"],
+    "superrad-overflow": ["superrad", "--n", "4", "--tau", "1:1e40:3:geom"],
+    "certify-overflow": ["certify", "--n", "4", "--superrad-tau", "1:1e40:3:geom"],
+    "ppt-overflow": ["ppt", "--n", "10", "--superrad-tau", "1:1e37:3:geom"],
+}
+
+
+@pytest.mark.parametrize("args", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_is_usage_error(runner, args):
+    result = runner.invoke(main, args)
+    assert (result.exit_code, result.stdout) == (2, "")
 
 
 # one sweep or state per writer: the superrad table (CSV and JSON), the
@@ -269,6 +292,18 @@ class TestVolume:
     def test_gds(self, runner):
         result = runner.invoke(main, ["volume", "--estimator", "gds", "--n", "4"])
         assert json.loads(result.output)["exact"] == "1/24"
+
+    @pytest.mark.parametrize("estimator, n, exact", [
+        ("sds-formula", 200, sds_volume_formula),
+        ("gds", 1600, gds_volume),
+    ])
+    def test_exact_value_at_large_n(self, runner, estimator, n, exact):
+        # numerator or denominator has more than the 4300 digits that
+        # str(int) and int(str) allow
+        result = runner.invoke(main, ["volume", "--estimator", estimator, "--n", str(n)])
+        assert result.exit_code == 0
+        num, den = json.loads(result.output)["exact"].split("/")
+        assert Fraction(int(Decimal(num)), int(Decimal(den))) == exact(n)
 
     def test_seed_mandatory_for_mc(self, runner):
         result = runner.invoke(

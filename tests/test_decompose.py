@@ -311,6 +311,20 @@ class TestLargeN:
         for tau, state in zip(grid, trajectory(n, grid).states):
             assert certify(state).certified, tau
 
+    @pytest.mark.parametrize("n, draw", [
+        pytest.param(24, 206, marks=pytest.mark.xfail(
+            strict=True, reason="ParameterOutOfRange, offending (0, -0.00636)")),
+        pytest.param(27, 321, marks=pytest.mark.xfail(
+            strict=True, reason="ParameterOutOfRange, offending (27, 1.00300)")),
+    ])
+    def test_endpoint_failures_certify(self, n, draw):
+        # the two known failures of the lower principal representation, with
+        # true amplitudes crowded at one end of [0, 1] (0-based draw index)
+        rng = np.random.default_rng(n)
+        for _ in range(draw):
+            random_sds_params(n, rng)
+        assert certify(sds_populations(random_sds_params(n, rng))).certified
+
 
 @settings(max_examples=200, deadline=None)
 @given(

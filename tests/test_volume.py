@@ -99,13 +99,13 @@ class TestPptVolume:
 
     @pytest.mark.parametrize("n, mean, std_error", [
         (2, 0.332255, 0.0007465528445796721),
-        (5, 0.00016324999999999998, 3.6520762644921126e-06),
-        (7, 4.761904761904762e-08, 9.71903089831588e-09),
+        (5, 0.000154, 3.5491088083254553e-06),
+        (7, 3.174603174603175e-08, 7.93587299047416e-09),
         (8, 7.440476190476191e-10, 4.2956964945731776e-10),
     ])
     def test_estimates_pinned_across_chunk_sizes(self, n, mean, std_error):
-        # one chunk at N = 2, chunks of 32768 at N = 5, 2048 at N = 7 and
-        # 1000 at N = 8; the values the eigenvalue mask gave
+        # one chunk of DEFAULT_CHUNK samples at every N; the eigenvalue path
+        # counts the same 1848, 16 and 3 passes at N = 5, 7 and 8
         est = ppt_gds_volume(n, 100_000, seed=3)
         assert (est.mean, est.std_error) == (mean, std_error)
         assert type(est.mean) is float and type(est.std_error) is float
@@ -116,11 +116,12 @@ class TestPptVolume:
         assert a == b
 
     def test_multi_chunk_estimate_pinned(self):
-        # N = 6 runs in chunks of 8192, 8192 and 3616 samples, so this pins
-        # how the chunks' sums combine
-        est = ppt_gds_volume(6, 20_000, seed=20261018)
-        assert est.mean == 4.652777777777778e-06
-        assert est.std_error == 5.67474361402139e-07
+        # two chunks of 100_000 samples and one of 50_001, so this pins how
+        # the chunks' sums combine; the eigenvalue path counts the same 661
+        # passes
+        est = ppt_gds_volume(6, 250_001, seed=20261018)
+        assert est.mean == 3.6722075333920885e-06
+        assert est.std_error == 1.4264337048069078e-07
 
     def test_slices_continue_the_chunk_generator(self):
         # 50_001 samples are one chunk at N = 4, drawn in slices of
