@@ -75,20 +75,17 @@ def _load_state(chi_file: str, n_qubits: int | None) -> GDSState:
     return state
 
 
-def _state_source(n_qubits, chi_file, tau_spec):
-    """The states ``certify`` and ``ppt`` test, as ``(state, sweep)``.
-
-    ``state`` is read from ``--chi-file``, or ``sweep`` holds the (tau,
-    state) pairs of the ``--superrad-tau`` cascade; the other is None.
-    """
+def _tested_states(n_qubits, chi_file, tau_spec) -> list:
+    """The (tau, state) pairs ``certify`` and ``ppt`` test: one pair with tau
+    None for ``--chi-file``, the cascade's points for ``--superrad-tau``."""
     if (chi_file is None) == (tau_spec is None):
         raise click.UsageError("provide exactly one of --chi-file or --superrad-tau")
     if chi_file is not None:
-        return _load_state(chi_file, n_qubits), None
+        return [(None, _load_state(chi_file, n_qubits))]
     if n_qubits is None:
         raise click.UsageError("--superrad-tau needs --n")
     traj = _trajectory(n_qubits, tau_spec)
-    return None, list(zip(traj.tau_grid, traj.states))
+    return list(zip(traj.tau_grid, traj.states))
 
 
 def _emit(out: str | None, text: str):
@@ -148,33 +145,30 @@ def cmd_superrad(n_qubits, tau_spec, out, fmt):
               help="Format of a --superrad-tau sweep; a --chi-file result is always JSON.")
 def cmd_certify(n_qubits, chi_file, tau_spec, tol, out, fmt):
     """Certify separability of a state or a superradiant sweep."""
-    state, sweep = _state_source(n_qubits, chi_file, tau_spec)
-    if state is not None:
-        result = decompose.certify(state, epsilon=tol)
-        _emit(out, json.dumps(result.to_json_dict(), indent=2) + "\n")
-        sys.exit(0 if result.certified else 1)
-
-    jm = j_max(n_qubits)
-    rows = []
-    all_ok = True
-    for tau, state in sweep:
-        result = decompose.certify(state, epsilon=tol)
-        all_ok &= result.certified
-        # an uncertified point has no parameters: nan in CSV, null in JSON
-        xs = ys = [None] * jm
-        if result.certified:
-            xs = result.certificate.weights.tolist()
-            ys = result.certificate.amplitudes.tolist()
-        rows.append((tau, xs, ys, result.verdict))
-    if fmt == "csv":
-        header = (["tau"] + [f"x_{j + 1}" for j in range(jm)]
-                  + [f"y_{j + 1}" for j in range(jm)] + ["verdict"])
-        _emit(out, _csv(header, [[tau, *xs, *ys, verdict] for tau, xs, ys, verdict in rows]))
+    results = [(tau, decompose.certify(state, epsilon=tol))
+               for tau, state in _tested_states(n_qubits, chi_file, tau_spec)]
+    if chi_file is not None:
+        text = json.dumps(results[0][1].to_json_dict(), indent=2) + "\n"
     else:
-        payload = [{"tau": float(tau), "x": xs, "y": ys, "verdict": verdict}
-                   for tau, xs, ys, verdict in rows]
-        _emit(out, json.dumps(payload, indent=2) + "\n")
-    sys.exit(0 if all_ok else 1)
+        jm = j_max(n_qubits)
+        rows = []
+        for tau, result in results:
+            # an uncertified point has no parameters: nan in CSV, null in JSON
+            xs = ys = [None] * jm
+            if result.certified:
+                xs = result.certificate.weights.tolist()
+                ys = result.certificate.amplitudes.tolist()
+            rows.append((tau, xs, ys, result.verdict))
+        if fmt == "csv":
+            header = (["tau"] + [f"x_{j + 1}" for j in range(jm)]
+                      + [f"y_{j + 1}" for j in range(jm)] + ["verdict"])
+            text = _csv(header, [[tau, *xs, *ys, verdict] for tau, xs, ys, verdict in rows])
+        else:
+            payload = [{"tau": float(tau), "x": xs, "y": ys, "verdict": verdict}
+                       for tau, xs, ys, verdict in rows]
+            text = json.dumps(payload, indent=2) + "\n"
+    _emit(out, text)
+    sys.exit(0 if all(result.certified for _, result in results) else 1)
 
 
 @main.command("ppt")
@@ -188,19 +182,14 @@ def cmd_certify(n_qubits, chi_file, tau_spec, tol, out, fmt):
 @click.option("--out", default=None, help="Output file (default: stdout).")
 def cmd_ppt(n_qubits, chi_file, tau_spec, tol, out):
     """Partial-transpose eigenvalue test of a state or a superradiant sweep."""
-    state, sweep = _state_source(n_qubits, chi_file, tau_spec)
-    if state is not None:
-        report = ppt.is_ppt(state, tol=tol)
-        _emit(out, json.dumps(report.to_json_dict(), indent=2) + "\n")
-        sys.exit(0 if report.is_ppt else 1)
-    payload = []
-    all_ok = True
-    for tau, state in sweep:
-        report = ppt.is_ppt(state, tol=tol)
-        all_ok &= report.is_ppt
-        payload.append({"tau": float(tau), **report.to_json_dict()})
+    reports = [(tau, ppt.is_ppt(state, tol=tol))
+               for tau, state in _tested_states(n_qubits, chi_file, tau_spec)]
+    if chi_file is not None:
+        payload = reports[0][1].to_json_dict()
+    else:
+        payload = [{"tau": float(tau), **report.to_json_dict()} for tau, report in reports]
     _emit(out, json.dumps(payload, indent=2) + "\n")
-    sys.exit(0 if all_ok else 1)
+    sys.exit(0 if all(report.is_ppt for _, report in reports) else 1)
 
 
 @main.command("volume")
@@ -219,11 +208,8 @@ def cmd_volume(estimator, n_qubits, samples, seed, out):
             raise click.UsageError(f"--seed is mandatory for --estimator {estimator}")
         if samples is None:
             raise click.UsageError(f"--samples is mandatory for --estimator {estimator}")
-        if estimator == "ppt":
-            est = volume.ppt_gds_volume(n_qubits, samples, seed)
-        else:
-            est = volume.sds_volume_mc(n_qubits, samples, seed)
-        payload = est.to_json_dict()
+        mc = volume.ppt_gds_volume if estimator == "ppt" else volume.sds_volume_mc
+        payload = mc(n_qubits, samples, seed).to_json_dict()
     else:
         exact = volume.sds_volume_formula if estimator == "sds-formula" else volume.gds_volume
         val = exact(n_qubits)

@@ -123,8 +123,10 @@ def trajectory(n_qubits: int, tau_grid) -> Trajectory:
     chi0 = np.zeros(n_qubits + 1)
     chi0[0] = 1.0
     # one batched propagator; the product with chi0, unlike its column 0,
-    # turns the propagator's -0.0 entries into 0.0
-    chis = expm(grid[:, None, None] * gen) @ chi0
+    # turns the propagator's -0.0 entries into 0.0.  At a tau so large that
+    # tau * rate overflows, GDSState's finiteness check raises ValueError
+    with np.errstate(over="ignore"):
+        chis = expm(grid[:, None, None] * gen) @ chi0
     states = tuple(GDSState(n_qubits=n_qubits, populations=chi) for chi in chis)
     grid.setflags(write=False)
     return Trajectory(n_qubits=n_qubits, tau_grid=grid, states=states)

@@ -68,6 +68,11 @@ BAD_INPUTS = {
     "superrad-overflow": ["superrad", "--n", "4", "--tau", "1:1e40:3:geom"],
     "certify-overflow": ["certify", "--n", "4", "--superrad-tau", "1:1e40:3:geom"],
     "ppt-overflow": ["ppt", "--n", "10", "--superrad-tau", "1:1e37:3:geom"],
+    # tau * rate itself overflows here; a warning that escapes exits 1
+    # when warnings are errors
+    "superrad-rate-overflow": ["superrad", "--n", "2", "--tau", "1e-3:1e308:3:geom"],
+    "certify-rate-overflow": ["certify", "--n", "2", "--superrad-tau", "1e-3:1e308:3:geom"],
+    "ppt-rate-overflow": ["ppt", "--n", "2", "--superrad-tau", "1e-3:1e308:3:geom"],
 }
 
 
@@ -106,6 +111,25 @@ def test_out_file_matches_stdout(runner, tmp_path, monkeypatch, args):
         assert (written.exit_code, written.stdout) == (0, "")
         assert path.read_bytes() == printed.stdout_bytes
     assert not (tmp_path / "rel").exists()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_state_file_is_decided_like_its_sweep_point(runner, tmp_path, n):
+    spec = "1e-3:10:3:geom"
+    sweep = ["--n", str(n), "--superrad-tau", spec]
+    points = json.loads(runner.invoke(main, ["superrad", "--n", str(n), "--tau", spec,
+                                             "--format", "json"]).output)
+    certified = json.loads(runner.invoke(main, ["certify", *sweep, "--format", "json"]).output)
+    reports = json.loads(runner.invoke(main, ["ppt", *sweep]).output)
+    for i, (point, row, entry) in enumerate(zip(points, certified, reports)):
+        path = _write_state(tmp_path, n, point["chi"], name=f"point{i}.json")
+        result = json.loads(runner.invoke(main, ["certify", "--chi-file", path]).output)
+        assert result["verdict"] == row["verdict"]
+        if row["verdict"] == "CertifiedSeparable":
+            assert [float(t["x"]) for t in result["terms"]] == row["x"]
+            assert [float(t["y"]) for t in result["terms"]] == row["y"]
+        del entry["tau"]
+        assert json.loads(runner.invoke(main, ["ppt", "--chi-file", path]).output) == entry
 
 
 class TestSuperrad:
@@ -211,6 +235,15 @@ class TestCertify:
         payload = json.loads(result.output)
         assert payload["verdict"] == "CertifiedSeparable"
         assert payload["residual"] <= 1e-9
+
+    def test_state_file_result_is_json_in_csv_format(self, runner, tmp_path):
+        # --format shapes a sweep only; a --chi-file result is one JSON object
+        path = _write_state(tmp_path, 4, list(np.array([1, 4, 6, 4, 1]) / 16))
+        as_csv = runner.invoke(main, ["certify", "--chi-file", path, "--format", "csv"])
+        as_json = runner.invoke(main, ["certify", "--chi-file", path, "--format", "json"])
+        assert as_csv.exit_code == as_json.exit_code == 0
+        assert as_csv.stdout == as_json.stdout
+        assert json.loads(as_csv.stdout)["verdict"] == "CertifiedSeparable"
 
     def test_uncertified_sweep_points_are_null_in_json(self, runner):
         # a zero tolerance leaves every point uncertified; JSON has no NaN

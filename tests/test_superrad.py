@@ -134,6 +134,12 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="tau_grid"):
             trajectory(3, grid)
 
+    def test_overflowing_propagator_raises_value_error(self):
+        # tau * rate overflows to inf: the populations are not finite, which
+        # is a ValueError, not a RuntimeWarning (an error under -W error)
+        with pytest.raises(ValueError, match="finite"):
+            trajectory(2, [1e308])
+
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
             trajectory(3, [0.5, 0.2])
