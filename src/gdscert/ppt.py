@@ -26,16 +26,18 @@ ceil(delta/2).  So PSD of those two blocks decides PPT for every split (Yu,
 PRA 94, 060101(R) (2016)); it is also the truncated Hausdorff moment
 condition, so PPT is separability here.
 
-``pt_min_eigenvalues`` computes the block spectra (``is_ppt`` reports
-them).  ``ppt_pass_mask`` decides "lambda_min >= -tol on the two
-middle-split blocks" at tol = DEFAULT_EIG_TOL by a Cholesky elimination of
-each + tol*I.  The elimination runs rows last on the lower triangle, the
-smaller block first: each entry is one contiguous vector over the batch,
-and a row leaves the batch at the first pivot that is not positive, so
-later columns and the other block run only on the rows still passing.
-Every row ``is_ppt`` passes at that tol passes the mask; the
-converse can fail only where a smaller block's lambda_min lies in a thin
-band below -tol, its weights differing from the middle split's.
+``pt_min_eigenvalues`` returns lambda_min of every split in one pass, with
+one eigensolve per block size over one table of every split's blocks
+(``is_ppt`` reports them).  ``ppt_pass_mask`` decides "lambda_min >= -tol
+on the two middle-split blocks" at tol = DEFAULT_EIG_TOL by a Cholesky
+elimination of each + tol*I, packed straight from H0 and H1.  The
+elimination runs rows last on the lower triangle, the smaller block first:
+each entry is one contiguous vector over the batch, and a row leaves the
+batch at the first pivot that is not positive, so later columns and the
+other block run only on the rows still passing.  Every row ``is_ppt``
+passes at that tol passes the mask; the converse can fail only where a
+smaller block's lambda_min lies in a thin band below -tol, its weights
+differing from the middle split's.
 """
 
 from __future__ import annotations
@@ -91,76 +93,75 @@ def partial_transpose(rho: np.ndarray, k: int, n_qubits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _block_tables(n_qubits: int, k: int, deltas: tuple) -> tuple:
-    """Index and weight tables of the ``deltas`` Dicke blocks of rho^{T_k}.
+def _block_tables(n_qubits: int) -> tuple:
+    """Index and weight tables of every Dicke block of every split k = 1..N//2.
 
-    One ``(idx, w)`` pair per block size s, each of shape (c, s, s) for the
-    c blocks of that size: block entries are ``p[idx] * w``.  The arrays
-    are shared between callers and therefore read-only.
+    One ``(idx, w, ks, starts)`` per block size s: ``idx`` and ``w`` are
+    (c, s, s) for the c blocks of that size, ordered by split, and block
+    entries are ``p[idx] * w``; ``ks`` holds the columns k - 1 of the splits
+    with blocks of that size and ``starts`` the index of each one's first
+    block.  The arrays are shared between callers and therefore read-only.
     """
-    rest = n_qubits - k
-    by_size = defaultdict(lambda: ([], []))
-    for delta in deltas:
-        a = np.arange(max(0, delta), min(k, rest + delta) + 1)
-        w = np.sqrt([float(comb(k, i) * comb(rest, i - delta)) for i in a])
-        idx, ws = by_size[len(a)]
-        idx.append(a[:, None] + a[None, :] - delta)
-        ws.append(np.outer(w, w))
+    by_size = defaultdict(lambda: ([], [], []))
+    for k in range(1, n_qubits // 2 + 1):
+        rest = n_qubits - k
+        for delta in range(-rest, k + 1):
+            a = np.arange(max(0, delta), min(k, rest + delta) + 1)
+            w = np.sqrt([float(comb(k, i) * comb(rest, i - delta)) for i in a])
+            idx, ws, splits = by_size[len(a)]
+            idx.append(a[:, None] + a[None, :] - delta)
+            ws.append(np.outer(w, w))
+            splits.append(k - 1)
     tables = []
     for size in sorted(by_size):
-        idx, ws = (np.array(t) for t in by_size[size])
-        idx.setflags(write=False)
-        ws.setflags(write=False)
-        tables.append((idx, ws))
+        idx, ws, splits = by_size[size]
+        table = (np.array(idx), np.array(ws), *np.unique(splits, return_index=True))
+        for t in table:
+            t.setflags(write=False)
+        tables.append(table)
     return tuple(tables)
 
 
-def _pt_blocks(n_qubits: int, chis: np.ndarray, k: int) -> list:
-    """The nonzero Dicke blocks of rho^{T_k} for each population row.
-
-    ``chis`` is (m, N+1); returns one (m, c, s, s) stack per block size s.
-    """
-    if not 1 <= k <= n_qubits - 1:
-        raise ValueError(f"k must be in 1..{n_qubits - 1}, got {k}")
-    p = np.asarray(chis, dtype=float) / binomials(n_qubits)
-    deltas = tuple(range(k - n_qubits, k + 1))
-    return [p[:, idx] * w for idx, w in _block_tables(n_qubits, k, deltas)]
-
-
-def pt_min_eigenvalues(n_qubits: int, chis: np.ndarray, k: int) -> np.ndarray:
+def pt_min_eigenvalues(n_qubits: int, chis: np.ndarray) -> np.ndarray:
     """Minimum eigenvalue of rho^{T_k} for each row of an (m, N+1) batch.
 
-    Exact up to rounding: the minimum over the Dicke blocks, and over the
-    zero block when (k+1)(N-k+1) < 2^N.
+    Returns (m, floor(N/2)): column k - 1 is the split k | N-k.  Exact up to
+    rounding: the minimum over the Dicke blocks, and over the zero block
+    where (k+1)(N-k+1) < 2^N, which is every split but N = 2's.
     """
-    mins = None
-    for blocks in _pt_blocks(n_qubits, chis, k):
-        low = np.linalg.eigvalsh(blocks)[..., 0].min(axis=1)
-        mins = low if mins is None else np.minimum(mins, low)
-    if (k + 1) * (n_qubits - k + 1) < 1 << n_qubits:
-        mins = np.minimum(mins, 0.0)
-    return mins
+    p = np.asarray(chis, dtype=float) / binomials(n_qubits)
+    splits = range(1, n_qubits // 2 + 1)
+    mins = np.full((len(p), len(splits)), np.inf)
+    for idx, w, ks, starts in _block_tables(n_qubits):
+        low = np.linalg.eigvalsh(p[:, idx] * w)[..., 0]
+        mins[:, ks] = np.minimum(mins[:, ks], np.minimum.reduceat(low, starts, axis=1))
+    # the zero block last, so that a block minimum of -0.0 reads 0.0
+    zero_block = [0.0 if (k + 1) * (n_qubits - k + 1) < 1 << n_qubits else np.inf for k in splits]
+    return np.minimum(mins, zero_block)
 
 
 @lru_cache(maxsize=None)
 def _mask_tables(n_qubits: int) -> tuple:
     """The two middle-split blocks as packed lower triangles, smaller first.
 
-    One ``(idx, w, diag)`` per block of size s: ``p[idx] * w`` stacks the
-    entries a[k:, k] of column k = 0..s-1 of the block, one row per entry
-    (the tables of ``_block_tables``, packed), and ``diag`` indexes the s
-    diagonal entries.  The arrays are shared between callers and therefore
-    read-only.
+    One ``(idx, w, diag)`` per block: W H0 W (delta = 0) and W H1 W
+    (delta = -1) of the split k = floor(N/2), with their Hankel indices
+    i + j - delta and weights w_i w_j from the module docstring.
+    ``p[idx] * w`` stacks the entries a[j:, j] of column j = 0..s-1 of the
+    block, one row per entry, and ``diag`` indexes the s diagonal entries.
+    At odd N the sizes are equal and delta = 0 comes first.  The arrays are
+    shared between callers and therefore read-only.
     """
+    k = n_qubits // 2
+    rest = n_qubits - k
     tables = []
-    for idx, w in _block_tables(n_qubits, n_qubits // 2, (0, -1)):
-        cols, rows = np.triu_indices(idx.shape[1])  # the lower triangle, by column
-        diag = np.flatnonzero(rows == cols)
-        for block_idx, block_w in zip(idx, w):
-            packed = (block_idx[rows, cols], block_w[rows, cols, None], diag)
-            for t in packed:
-                t.setflags(write=False)
-            tables.append(packed)
+    for delta, size in sorted([(0, k + 1), (-1, rest)], key=lambda block: block[1]):
+        w = np.sqrt([float(comb(k, i) * comb(rest, i - delta)) for i in range(size)])
+        cols, rows = np.triu_indices(size)  # the lower triangle, by column
+        packed = (rows + cols - delta, (w[rows] * w[cols])[:, None], np.flatnonzero(rows == cols))
+        for t in packed:
+            t.setflags(write=False)
+        tables.append(packed)
     return tuple(tables)
 
 
@@ -235,6 +236,6 @@ def is_ppt(state: GDSState, tol: float = DEFAULT_EIG_TOL) -> PptReport:
     """Eigenvalue test of every inequivalent partial transpose of a GDS state."""
     check_tolerance(tol)
     n = state.n_qubits
-    chis = state.populations[None, :]
-    minima = {k: float(pt_min_eigenvalues(n, chis, k)[0]) for k in range(1, n // 2 + 1)}
+    row = pt_min_eigenvalues(n, state.populations[None, :])[0]
+    minima = dict(zip(range(1, n // 2 + 1), row.tolist()))
     return PptReport(n_qubits=n, tolerance=tol, min_eigenvalues=minima)

@@ -28,8 +28,8 @@ from gdscert.decompose import (
     VERDICT_CERTIFIED,
     _assemble,
 )
-from gdscert.ppt import _pt_blocks
-from gdscert.states import bernstein
+from gdscert.ppt import _block_tables
+from gdscert.states import bernstein, binomials
 from gdscert.volume import ppt_pass_mask, sample_chis
 
 
@@ -343,11 +343,8 @@ def test_certify_matches_ppt(n, raw, mix, seed):
     result = certify(GDSState(n, chi))
     # smallest eigenvalue over the Dicke blocks of every rho^{T_k}; the zero
     # block of rho^{T_k} is left out, it pins the minimum of a PPT state at 0
-    margin = min(
-        np.linalg.eigvalsh(blocks)[..., 0].min()
-        for k in range(1, n // 2 + 1)
-        for blocks in _pt_blocks(n, chi[None], k)
-    )
+    p = chi / binomials(n)
+    margin = min(np.linalg.eigvalsh(p[idx] * w)[..., 0].min() for idx, w, _, _ in _block_tables(n))
     if abs(margin) > 1e-8:
         assert result.certified == bool(ppt_pass_mask(n, chi[None])[0])
     if result.certified:

@@ -19,7 +19,7 @@ from gdscert import (
     sds_populations,
 )
 from gdscert import ppt, volume
-from gdscert.ppt import DEFAULT_EIG_TOL, _block_tables, _pt_blocks, pt_min_eigenvalues
+from gdscert.ppt import DEFAULT_EIG_TOL, pt_min_eigenvalues
 from gdscert.states import bernstein, binomials, is_hermitian
 from gdscert.volume import ppt_pass_mask, sample_chis
 
@@ -29,6 +29,26 @@ def dense_pt_spectra(chi, ks):
     n = len(chi) - 1
     rho = gds_density_matrix(GDSState(n, chi))
     return {k: np.linalg.eigvalsh(partial_transpose(rho, k, n)) for k in ks}
+
+
+def dicke_blocks(chi, k):
+    """The nonzero Dicke blocks of rho^{T_k}, one square matrix at a time,
+    from the ``ppt`` module docstring: W_delta H_delta W_delta with
+    H_delta[a, a'] = p_{a+a'-delta} and W_delta = diag sqrt(C(k, a)
+    C(N-k, a-delta)), a = max(0, delta)..min(k, N-k+delta)."""
+    n = len(chi) - 1
+    p = np.asarray(chi, dtype=float) / binomials(n)
+    blocks = []
+    for delta in range(k - n, k + 1):
+        a = np.arange(max(0, delta), min(k, n - k + delta) + 1)
+        w = np.sqrt([float(comb(k, i) * comb(n - k, i - delta)) for i in a])
+        blocks.append(p[a[:, None] + a - delta] * np.outer(w, w))
+    return blocks
+
+
+def has_zero_block(n, k):
+    """rho^{T_k} vanishes off Sym^k (x) Sym^(N-k), of dimension (k+1)(N-k+1)."""
+    return (k + 1) * (n - k + 1) < 1 << n
 
 
 class TestPartialTranspose:
@@ -127,14 +147,12 @@ class TestBipartitionStructure:
         tests agreeing is expected whenever k=2 passes."""
         rng = np.random.default_rng(123)
         chis = sample_chis(4, rng, 100_000)
-        mins = {}
-        for k in (1, 2):
-            mins[k] = pt_min_eigenvalues(4, chis, k)
-        pass1 = mins[1] >= -1e-10
-        pass2 = mins[2] >= -1e-10
+        mins = pt_min_eigenvalues(4, chis)
+        pass1 = mins[:, 0] >= -1e-10
+        pass2 = mins[:, 1] >= -1e-10
         assert int((pass1 & ~pass2).sum()) > 0
         # outside a numerical boundary band, k=2 acceptance implies k=1
-        solid = (mins[1] < -1e-8) & (mins[2] >= -1e-10)
+        solid = (mins[:, 0] < -1e-8) & (mins[:, 1] >= -1e-10)
         assert int(solid.sum()) == 0
 
     def test_certified_states_are_ppt(self):
@@ -184,7 +202,7 @@ class TestDickeBlocks:
         for chi in chis:
             dense = dense_pt_spectra(chi, range(1, n))
             for k in range(1, n):
-                blocks = [np.linalg.eigvalsh(b).ravel() for b in _pt_blocks(n, chi[None], k)]
+                blocks = [np.linalg.eigvalsh(b) for b in dicke_blocks(chi, k)]
                 zeros = np.zeros((1 << n) - (k + 1) * (n - k + 1))
                 spectrum = np.sort(np.concatenate(blocks + [zeros]))
                 np.testing.assert_allclose(spectrum, dense[k], rtol=0, atol=1e-12)
@@ -192,14 +210,41 @@ class TestDickeBlocks:
     def test_min_eigenvalues_batch_matches_rows(self):
         rng = np.random.default_rng(7)
         chis = sample_chis(6, rng, 50)
-        for k in (1, 2, 3):
-            batch = pt_min_eigenvalues(6, chis, k)
-            rows = [pt_min_eigenvalues(6, chi[None], k)[0] for chi in chis]
-            np.testing.assert_array_equal(batch, rows)
+        batch = pt_min_eigenvalues(6, chis)
+        assert batch.shape == (50, 3)
+        rows = [pt_min_eigenvalues(6, chi[None])[0] for chi in chis]
+        np.testing.assert_array_equal(batch, rows)
 
-    def test_split_out_of_range(self):
-        with pytest.raises(ValueError):
-            pt_min_eigenvalues(4, np.full((1, 5), 0.2), 4)
+    def test_one_qubit_has_no_split(self):
+        chis = sample_chis(1, np.random.default_rng(8), 5)
+        assert pt_min_eigenvalues(1, chis).shape == (5, 0)
+        report = is_ppt(GDSState(1, chis[0]))
+        assert report.to_json_dict() == {"bipartitions": [], "ppt": True}
+
+    def test_two_qubits_have_no_zero_block(self):
+        # (k+1)(N-k+1) = 4 = 2^N: rho^{T_1} is the sum of its Dicke blocks,
+        # so a positive definite state's minimum is positive, not 0
+        assert not has_zero_block(2, 1)
+        low = pt_min_eigenvalues(2, np.array([[0.3, 0.4, 0.3]]))
+        assert low.shape == (1, 1) and low[0, 0] > 0
+        assert low[0, 0] == min(np.linalg.eigvalsh(b)[0] for b in dicke_blocks([0.3, 0.4, 0.3], 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=16),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    ts=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
+)
+def test_min_eigenvalues_equal_per_block_reference(n, seed, ts):
+    # exact equality: a batched eigvalsh solves each matrix as a lone call does
+    chis = _separable_blend(n, seed, [0.0, *ts])  # t = 0: a simplex draw
+    table = pt_min_eigenvalues(n, chis)
+    assert table.shape == (len(chis), n // 2)
+    for chi, row in zip(chis, table):
+        for k in range(1, n // 2 + 1):
+            low = min(np.linalg.eigvalsh(b)[0] for b in dicke_blocks(chi, k))
+            assert row[k - 1] == (min(low, 0.0) if has_zero_block(n, k) else low)
 
 
 @settings(max_examples=300, deadline=None)
@@ -222,7 +267,7 @@ def test_pass_mask_matches_dense_oracle(n, raw, mix, seed):
     else:
         # the dense spectra cost 2^N x 2^N eigensolves; the block spectra
         # equal them (TestDickeBlocks)
-        low = min(pt_min_eigenvalues(n, chi[None], k)[0] for k in splits)
+        low = pt_min_eigenvalues(n, chi[None])[0].min()
     margin = low + DEFAULT_EIG_TOL
     if abs(margin) > 1e-12:
         assert bool(ppt_pass_mask(n, chi[None])[0]) == (margin > 0)
@@ -258,7 +303,7 @@ class TestCholeskyMask:
         # the block until the products overflow at N = 20
         chis = sample_chis(20, np.random.default_rng(7), 50_000)
         mask = ppt_pass_mask(20, chis)
-        low = np.min([pt_min_eigenvalues(20, chis[:200], k) for k in range(1, 11)], axis=0)
+        low = pt_min_eigenvalues(20, chis[:200]).min(axis=1)
         np.testing.assert_array_equal(mask[:200], low >= -DEFAULT_EIG_TOL)
 
     @pytest.mark.parametrize("n", [4, 7, 10])
@@ -328,9 +373,13 @@ def _reference_pass_mask(n_qubits, chis, passed=None):
     p = np.asarray(chis, dtype=float).T.copy()
     p /= binomials(n_qubits)[:, None]
     ok = np.ones(p.shape[1], dtype=bool)
-    for idx, w in _block_tables(n_qubits, n_qubits // 2, (0, -1)):
-        a = p[idx]  # (c, s, s, m)
-        a *= w[..., None]
+    k, rest = n_qubits // 2, n_qubits - n_qubits // 2
+    # W H0 W and W H1 W, smaller first (delta = 0 first at equal sizes)
+    for delta, size in sorted([(0, k + 1), (-1, rest)], key=lambda block: block[1]):
+        i = np.arange(size)
+        w = np.sqrt([float(comb(k, j) * comb(rest, j - delta)) for j in range(size)])
+        a = p[None, i[:, None] + i - delta]  # (1, s, s, m)
+        a *= np.outer(w, w)[..., None]
         diag = np.arange(a.shape[1])
         a[:, diag, diag] += DEFAULT_EIG_TOL
         good = np.ones((len(a), p.shape[1]), dtype=bool)

@@ -341,3 +341,20 @@ def test_numpy_integer_seed_is_json_integer(estimator):
 def test_zero_samples_rejected(estimator):
     with pytest.raises(ValueError, match="n_samples must be >= 1"):
         estimator(4, 0, seed=1)
+
+
+_BAD_QUBIT_COUNTS = [0, -2, True, 2.0]
+# None would draw fresh entropy, so the estimate would not be reproducible
+_BAD_SEEDS = [None, True, np.True_, 1.0, -1, [1, 2]]
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [(fn, (n,)) for fn in (gds_volume, sds_volume_formula) for n in _BAD_QUBIT_COUNTS]
+    + [(fn, (n, 100, 1)) for fn in (ppt_gds_volume, sds_volume_mc) for n in _BAD_QUBIT_COUNTS]
+    + [(fn, (4, 100, seed)) for fn in (ppt_gds_volume, sds_volume_mc) for seed in _BAD_SEEDS],
+    ids=lambda v: v.__name__ if callable(v) else repr(v),
+)
+def test_bad_qubit_count_or_seed_rejected(fn, args):
+    with pytest.raises(ValueError, match="n_qubits must be a positive integer|seed must be a"):
+        fn(*args)
