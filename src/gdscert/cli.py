@@ -89,8 +89,8 @@ def _tested_states(n_qubits, chi_file, tau_spec) -> list:
 
 
 def _emit(out: str | None, text: str):
-    """Write ``text`` to stdout, or to ``--out``: a relative path resolves
-    against ``$GDSCERT_OUTDIR`` when that is set."""
+    """Write ``text`` to stdout, or to ``--out``: a relative path resolves against
+    ``$GDSCERT_OUTDIR`` when that is set, and an unwritable path is a usage error."""
     if out is None:
         # Streams are passed explicitly: for a default stream, click caches a
         # wrapper that keeps every redirected sys.stdout (and all it holds)
@@ -99,8 +99,11 @@ def _emit(out: str | None, text: str):
         return
     # an absolute ``out`` replaces the base
     path = Path(os.environ.get(OUTDIR_ENV, ""), out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {path}: {exc}")
 
 
 @click.group()

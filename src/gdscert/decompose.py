@@ -27,7 +27,7 @@ from math import factorial
 
 import numpy as np
 
-from .states import GDSState, bernstein, binomials, check_tolerance, j_max
+from .states import GDSState, _checked_int, bernstein, binomials, check_tolerance, j_max
 
 VERDICT_CERTIFIED = "CertifiedSeparable"
 VERDICT_NOT_CERTIFIED = "NotCertified"
@@ -208,10 +208,11 @@ def certify(state: GDSState, epsilon: float = DEFAULT_EPSILON) -> CertificationR
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True must not hit the cached N = 1
 def population_bound(n_qubits: int, n0: int) -> float:
     """Largest population of level n0 attainable by any separable GDS state:
     (n0^n0 / n0!) (n1^n1 / n1!) (N! / N^N), with 0^0 = 1."""
+    n_qubits = _checked_int(n_qubits)
     if not 0 <= n0 <= n_qubits:
         raise ValueError(f"n0 must be in 0..{n_qubits}")
     n1 = n_qubits - n0

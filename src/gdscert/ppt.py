@@ -51,7 +51,8 @@ import numpy as np
 
 # gds_density_matrix is re-exported: the dense oracle is reached through this
 # module, and the traced benchmark run (perfbench/tracing.py) patches it here.
-from .states import GDSState, binomials, check_tolerance, gds_density_matrix  # noqa: F401
+from .states import gds_density_matrix  # noqa: F401
+from .states import GDSState, _checked_int, binomials, check_tolerance
 
 DEFAULT_EIG_TOL = 1e-10
 
@@ -80,7 +81,7 @@ class PptReport:
 
 def partial_transpose(rho: np.ndarray, k: int, n_qubits: int) -> np.ndarray:
     """Transpose the first k tensor factors of a 2^N x 2^N matrix."""
-    dim = 1 << n_qubits
+    dim = 1 << _checked_int(n_qubits)
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix for N={n_qubits}, got {rho.shape}")
     if not 1 <= k <= n_qubits - 1:
@@ -122,6 +123,18 @@ def _block_tables(n_qubits: int) -> tuple:
     return tuple(tables)
 
 
+def _population_rows(n_qubits, chis) -> tuple:
+    """N and ``chis`` as a checked int and an (m, N+1) float batch of rows."""
+    n_qubits = _checked_int(n_qubits)
+    chis = np.asarray(chis, dtype=float)
+    if chis.ndim != 2 or chis.shape[1] != n_qubits + 1:
+        raise ValueError(
+            f"expected an (m, {n_qubits + 1}) array of population rows for "
+            f"N={n_qubits}, got shape {chis.shape}"
+        )
+    return n_qubits, chis
+
+
 def pt_min_eigenvalues(n_qubits: int, chis: np.ndarray) -> np.ndarray:
     """Minimum eigenvalue of rho^{T_k} for each row of an (m, N+1) batch.
 
@@ -129,7 +142,8 @@ def pt_min_eigenvalues(n_qubits: int, chis: np.ndarray) -> np.ndarray:
     rounding: the minimum over the Dicke blocks, and over the zero block
     where (k+1)(N-k+1) < 2^N, which is every split but N = 2's.
     """
-    p = np.asarray(chis, dtype=float) / binomials(n_qubits)
+    n_qubits, chis = _population_rows(n_qubits, chis)
+    p = chis / binomials(n_qubits)
     splits = range(1, n_qubits // 2 + 1)
     mins = np.full((len(p), len(splits)), np.inf)
     for idx, w, ks, starts in _block_tables(n_qubits):
@@ -189,23 +203,17 @@ def ppt_pass_mask(n_qubits: int, chis: np.ndarray) -> np.ndarray:
     row's verdict does not depend on the batch it comes in, and the caller
     sizes the batch (``volume._mc_estimate`` passes at most ``SLICE_ROWS`` rows).
     """
-    chis = np.asarray(chis, dtype=float)
-    if chis.ndim != 2 or chis.shape[1] != n_qubits + 1:
-        raise ValueError(
-            f"expected an (m, {n_qubits + 1}) array of population rows for "
-            f"N={n_qubits}, got shape {chis.shape}"
-        )
+    n_qubits, chis = _population_rows(n_qubits, chis)
     m = len(chis)
     # rows on the last axis: every step below is a contiguous vector op
     p = np.empty((n_qubits + 1, m))
     np.divide(chis.T, binomials(n_qubits)[:, None], out=p)
-    rows = np.arange(m)  # the rows of chis that p still holds
+    rows = np.arange(m)  # the rows of chis still passing
     for idx, w, diag in _mask_tables(n_qubits):
-        a = p[idx]
+        a = (p if len(rows) == m else p.take(rows, axis=1))[idx]
         a *= w
         for d in diag:
             a[d] += DEFAULT_EIG_TOL
-        kept = None  # the columns of p still passing this block
         for j in range(len(diag)):
             # a packs columns j..s-1: a[0] is the pivot a[j, j], a[1:t + 1]
             # the column below it and a[t + 1:] the trailing triangle
@@ -214,7 +222,7 @@ def ppt_pass_mask(n_qubits: int, chis: np.ndarray) -> np.ndarray:
                 keep = np.flatnonzero(passed)
                 if not len(keep):
                     return np.zeros(m, dtype=bool)
-                kept = keep if kept is None else kept[keep]
+                rows = rows[keep]
                 a = a.take(keep, axis=1)
             t = len(diag) - 1 - j  # rows below the pivot
             col = a[1:t + 1] / a[0]
@@ -224,9 +232,6 @@ def ppt_pass_mask(n_qubits: int, chis: np.ndarray) -> np.ndarray:
                 rest[start:start + t - k] -= col[k:] * a[1 + k]
                 start += t - k
             a = rest
-        if kept is not None:
-            p = p.take(kept, axis=1)
-            rows = rows[kept]
     mask = np.zeros(m, dtype=bool)
     mask[rows] = True
     return mask

@@ -40,11 +40,13 @@ def check_tolerance(tol: float) -> None:
         raise ValueError(f"must be finite and >= 0, got {tol!r}")
 
 
-def _qubit_count(n_qubits) -> int:
-    """``n_qubits`` as a Python int; a float or bool is rejected, not truncated."""
-    if isinstance(n_qubits, bool) or not isinstance(n_qubits, Integral) or n_qubits < 1:
-        raise ValueError(f"n_qubits must be a positive integer, got {n_qubits!r}")
-    return int(n_qubits)
+def _checked_int(value, name: str = "n_qubits", minimum: int = 1) -> int:
+    """``value`` as a Python int >= ``minimum`` (1, or 0 for a seed): the one rule
+    for every count and seed.  A float or bool is rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        kind = "positive" if minimum == 1 else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,7 @@ class GDSState:
     populations: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "n_qubits", _qubit_count(self.n_qubits))
+        object.__setattr__(self, "n_qubits", _checked_int(self.n_qubits))
         chi = np.array(self.populations, dtype=float)
         if chi.shape != (self.n_qubits + 1,):
             raise ValueError(
@@ -80,14 +82,13 @@ class GDSState:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "GDSState":
-        """Parse ``{"n": int, "chi": [number, ...]}``; bools and strings are
-        rejected, and a float ``n`` is rejected rather than truncated."""
-        n, chi = obj["n"], obj["chi"]
-        if type(n) is not int:
-            raise TypeError(f'"n" must be an integer, got {n!r}')
+        """Parse ``{"n": int, "chi": [number, ...]}``.  ``"n"`` meets the qubit-count
+        rule (a float, bool or string raises ValueError); a string or bool in
+        ``"chi"`` raises TypeError rather than convert silently."""
+        chi = obj["chi"]
         if not isinstance(chi, list) or any(type(c) not in (int, float) for c in chi):
             raise TypeError('"chi" must be a list of numbers')
-        return cls(n_qubits=n, populations=chi)
+        return cls(n_qubits=obj["n"], populations=chi)
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ class SDSParams:
     terms: tuple = field()
 
     def __post_init__(self):
-        object.__setattr__(self, "n_qubits", _qubit_count(self.n_qubits))
+        object.__setattr__(self, "n_qubits", _checked_int(self.n_qubits))
         jm = j_max(self.n_qubits)
         terms = tuple((float(x), float(y)) for x, y in self.terms)
         if len(terms) != jm:
@@ -150,7 +151,7 @@ def bernstein(n_qubits: int, ys) -> np.ndarray:
 
 
 def _check_dense_capacity(n_qubits: int):
-    if n_qubits > MAX_DENSE_QUBITS:
+    if _checked_int(n_qubits) > MAX_DENSE_QUBITS:
         raise CapacityError(
             f"dense 2^N matrices are limited to N <= {MAX_DENSE_QUBITS}, got N={n_qubits}"
         )
@@ -211,7 +212,7 @@ def sds_density_matrix_phase_avg(params: SDSParams, n_phases: int) -> np.ndarray
     """
     n = params.n_qubits
     _check_dense_capacity(n)
-    if n_phases <= n:
+    if _checked_int(n_phases, "n_phases") <= n:
         raise ValueError(f"n_phases must exceed N={n} for the average to be exact")
     dim = 1 << n
     rho = np.zeros((dim, dim), dtype=complex)
@@ -230,7 +231,7 @@ def sds_density_matrix_phase_avg(params: SDSParams, n_phases: int) -> np.ndarray
 
 def random_sds_params(n_qubits: int, rng: np.random.Generator) -> SDSParams:
     """Draw valid mixture parameters: weights uniform on the simplex, y uniform."""
-    jm = j_max(n_qubits)
+    jm = j_max(_checked_int(n_qubits))
     xs = rng.dirichlet(np.ones(jm))
     ys = rng.random(jm)
     if n_qubits % 2 == 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import GDSState
+from .states import GDSState, _checked_int
 
 # the explicit formulas suffer catastrophic cancellation near tau=0;
 # negative entries this close to zero are floating-point residue, not physics
@@ -41,9 +41,7 @@ class Trajectory:
 def generator(n_qubits: int) -> np.ndarray:
     """Cascade rate matrix over the n0 index (lower bidiagonal, zero column
     sums), assembled in exact integers and returned read-only as floats."""
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
-    n = n_qubits
+    n = _checked_int(n_qubits)
     mat = np.zeros((n + 1, n + 1), dtype=np.int64)
     for n0 in range(n + 1):
         n1 = n - n0

@@ -14,14 +14,13 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb, factorial, prod, sqrt
-from numbers import Integral
 
 import numpy as np
 
 # partial_transpose and ppt_pass_mask are re-exported: the traced benchmark
 # run (perfbench/tracing.py) patches them here.
 from .ppt import partial_transpose, ppt_pass_mask  # noqa: F401
-from .states import _qubit_count, j_max
+from .states import _checked_int, j_max
 
 METHOD_INDICATOR = "MC-indicator"
 METHOD_JACOBIAN = "MC-jacobian"
@@ -63,11 +62,8 @@ def _mc_estimate(n_samples, seed, scale, method, draw) -> VolumeEstimate:
     0s and 1s, whose sums are exact, gives the same estimate either way.
     ``seed`` must be a nonnegative integer: None would draw fresh entropy.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    seed = int(seed)
+    n_samples = _checked_int(n_samples, "n_samples")
+    seed = _checked_int(seed, "seed", minimum=0)
     full, rem = divmod(n_samples, DEFAULT_CHUNK)
     chunks = [DEFAULT_CHUNK] * full + ([rem] if rem else [])
     acc_sum = acc_sumsq = 0.0
@@ -98,7 +94,7 @@ def sample_chis(n_qubits: int, rng: np.random.Generator, size: int) -> np.ndarra
 
 def gds_volume(n_qubits: int) -> Fraction:
     """Volume of all GDS states in the population metric: 1/N!."""
-    return Fraction(1, factorial(_qubit_count(n_qubits)))
+    return Fraction(1, factorial(_checked_int(n_qubits)))
 
 
 def sds_volume_formula(n_qubits: int) -> Fraction:
@@ -120,7 +116,7 @@ def sds_volume_formula(n_qubits: int) -> Fraction:
     equal (N!)^(N-1) / prod_z (2z-1)!.
     """
     out = Fraction(1)
-    for z in range(1, _qubit_count(n_qubits) + 1):
+    for z in range(1, _checked_int(n_qubits) + 1):
         out *= Fraction(z ** (z - 1) * factorial(z - 1), factorial(2 * z - 1))
     return out
 
@@ -132,7 +128,7 @@ def ppt_gds_volume(n_qubits: int, n_samples: int, seed: int) -> VolumeEstimate:
     two middle-split Dicke blocks have lambda_min >= -DEFAULT_EIG_TOL, which
     decides PPT for every split), scaled by the simplex volume 1/N!.
     """
-    n_qubits = _qubit_count(n_qubits)
+    n_qubits = _checked_int(n_qubits)
 
     def draw(rng, m):
         chis = sample_chis(n_qubits, rng, m)
@@ -236,7 +232,7 @@ def sds_volume_mc(n_qubits: int, n_samples: int, seed: int) -> VolumeEstimate:
     integral sits in rare rows, so the estimate falls far below
     ``sds_volume_formula`` and its standard error understates the error.
     """
-    n = _qubit_count(n_qubits)
+    n = _checked_int(n_qubits)
     jm = j_max(n)
     n_free = jm - 1 if n % 2 == 0 else jm
 

@@ -57,6 +57,25 @@ def test_n_disagreeing_with_state_file_is_usage_error(runner, tmp_path, command)
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("command", ["superrad", "certify", "ppt", "volume", "bound"])
+@pytest.mark.parametrize("target", ["directory", "under a file"])
+def test_unwritable_out_is_usage_error(runner, tmp_path, command, target):
+    # exit 1 is a negative verdict, so a failed write must not read as one
+    state = _write_state(tmp_path, 4, [0.0625, 0.25, 0.375, 0.25, 0.0625])
+    args = {
+        "superrad": ["superrad", "--n", "2", "--tau", "0:1:2:lin"],
+        "certify": ["certify", "--chi-file", state],
+        "ppt": ["ppt", "--chi-file", state],
+        "volume": ["volume", "--estimator", "gds", "--n", "4"],
+        "bound": ["bound", "--n", "4"],
+    }[command]
+    out = tmp_path if target == "directory" else tmp_path / "state.json" / "out.json"
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"cannot write {out}" in result.stderr
+
+
 # inputs from outside the program that once crashed with exit 1, which
 # certify and ppt use for a negative verdict; the cascade's propagator
 # overflows from tau of about 3.6e37 at N = 4 and 6.0e36 at N = 10

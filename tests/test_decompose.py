@@ -3,7 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gdscert import (
@@ -333,13 +333,16 @@ class TestLargeN:
     mix=st.floats(min_value=0.0, max_value=1.0),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+# a subnormal weight sum: (1 - mix) * weights underflows to 0 unless the
+# weights are normalised first
+@example(n=2, raw=[0.0, 5e-324] + [0.0] * 9, mix=0.5, seed=0)
 def test_certify_matches_ppt(n, raw, mix, seed):
     weights = np.array(raw[: n + 1])
     assume(weights.sum() > 0.0)
     # mixing in a separable state reaches the PPT region, which simplex
     # points alone almost never hit for N >= 7
     separable = sds_populations(random_sds_params(n, np.random.default_rng(seed)))
-    chi = (1.0 - mix) * weights / weights.sum() + mix * separable.populations
+    chi = (1.0 - mix) * (weights / weights.sum()) + mix * separable.populations
     result = certify(GDSState(n, chi))
     # smallest eigenvalue over the Dicke blocks of every rho^{T_k}; the zero
     # block of rho^{T_k} is left out, it pins the minimum of a PPT state at 0
@@ -377,11 +380,14 @@ def test_decompositions_are_real(n, raw):
     mix=st.floats(min_value=0.0, max_value=1.0),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+# a subnormal weight sum: (1 - mix) * weights underflows to 0 unless the
+# weights are normalised first
+@example(n=1, raw=[0.0, 5e-324] + [0.0] * 15, mix=0.5, seed=0)
 def test_offending_parameter_and_certificate_shape(n, raw, mix, seed):
     weights = np.array(raw[: n + 1])
     assume(weights.sum() > 0.0)
     separable = sds_populations(random_sds_params(n, np.random.default_rng(seed)))
-    state = GDSState(n, (1.0 - mix) * weights / weights.sum() + mix * separable.populations)
+    state = GDSState(n, (1.0 - mix) * (weights / weights.sum()) + mix * separable.populations)
     result = certify(state)
     if result.reason == REASON_OUT_OF_RANGE:
         # the first of (x_1..x_J, y_1..y_J) outside [-eps, 1 + eps], by a scalar scan

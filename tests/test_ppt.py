@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gdscert import (
@@ -254,13 +254,16 @@ def test_min_eigenvalues_equal_per_block_reference(n, seed, ts):
     mix=st.floats(min_value=0.0, max_value=1.0),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+# a subnormal weight sum: (1 - mix) * weights underflows to 0 unless the
+# weights are normalised first
+@example(n=2, raw=[0.0, 5e-324] + [0.0] * 11, mix=0.5, seed=0)
 def test_pass_mask_matches_dense_oracle(n, raw, mix, seed):
     weights = np.array(raw[: n + 1])
     assume(weights.sum() > 0.0)
     # mixing in a separable state reaches the PPT region, which simplex
     # points alone almost never hit for N >= 7
     separable = sds_populations(random_sds_params(n, np.random.default_rng(seed)))
-    chi = (1.0 - mix) * weights / weights.sum() + mix * separable.populations
+    chi = (1.0 - mix) * (weights / weights.sum()) + mix * separable.populations
     splits = range(1, n // 2 + 1)
     if n <= 6:
         low = min(s[0] for s in dense_pt_spectra(chi, splits).values())

@@ -10,13 +10,22 @@ from gdscert import (
     GDSState,
     SDSParams,
     dicke_projector,
+    evolve,
     gds_density_matrix,
+    generator,
     is_ppt,
+    partial_transpose,
+    population_bound,
+    ppt_gds_volume,
+    pt_min_eigenvalues,
     random_sds_params,
     sds_density_matrix_phase_avg,
     sds_populations,
+    sds_volume_mc,
+    trajectory,
 )
 from gdscert.states import bernstein, binomials, dicke_ket, is_hermitian
+from gdscert.volume import ppt_pass_mask
 
 
 class TestDickeProjector:
@@ -248,3 +257,56 @@ def test_bernstein_entries_and_column_sums(n, ys):
     expected = [[comb(n, k) * y**k * (1 - y) ** (n - k) for y in ys] for k in range(n + 1)]
     np.testing.assert_allclose(table, expected, rtol=1e-13, atol=1e-300)
     np.testing.assert_allclose(table.sum(axis=0), 1.0, rtol=1e-12)
+
+
+def _one_rule_cases():
+    """One pytest.param(call, args, message) per public entry point that takes
+    a count or a seed, and per bad value."""
+    params = SDSParams(2, ((0.5, 0.3), (0.5, 0.0)))
+    rng = np.random.default_rng(0)
+    cases = []
+
+    def case(fn, args, name, bad, message=None):
+        message = message or f"{name} must be a positive integer, got {bad!r}"
+        cases.append(pytest.param(fn, args, message, id=f"{fn.__name__}-{name}={bad!r}"))
+
+    for n in (0, -2, True, 2.0):
+        case(pt_min_eigenvalues, (n, [[1.0]]), "n_qubits", n)
+        case(ppt_pass_mask, (n, [[1.0]]), "n_qubits", n)
+        case(partial_transpose, (np.eye(1), 1, n), "n_qubits", n)
+        case(generator, (n,), "n_qubits", n)
+        case(trajectory, (n, [0.5]), "n_qubits", n)
+        case(evolve, (n, 0.5), "n_qubits", n)
+        case(population_bound, (n, 0), "n_qubits", n)
+        case(dicke_ket, (n, 0), "n_qubits", n)
+        case(dicke_projector, (n, 0), "n_qubits", n)
+        case(random_sds_params, (n, rng), "n_qubits", n)
+    for samples in (True, 2.5, -3):
+        case(ppt_gds_volume, (4, samples, 1), "n_samples", samples)
+        case(sds_volume_mc, (4, samples, 1), "n_samples", samples)
+    for phases in (7.5, True):
+        case(sds_density_matrix_phase_avg, (params, phases), "n_phases", phases)
+    for shape in ((5,), (3, 4)):
+        case(pt_min_eigenvalues, (4, np.full(shape, 0.2)), "shape", shape, r"\(m, 5\)")
+    return cases
+
+
+@pytest.mark.parametrize("fn, args, message", _one_rule_cases())
+def test_counts_and_batches_follow_one_rule(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
+
+
+def test_bool_qubit_count_misses_the_bound_cache():
+    # True == 1 and hash(True) == hash(1): an untyped cache would return N = 1's value
+    population_bound(1, 0)
+    with pytest.raises(ValueError, match="n_qubits must be a positive integer, got True"):
+        population_bound(True, 0)
+
+
+def test_rejected_qubit_count_draws_nothing():
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="n_qubits"):
+        random_sds_params(2.0, rng)
+    assert rng.bit_generator.state == before
