@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import decompose, ppt, superrad, volume
-from .states import GDSState, check_tolerance, j_max
+from .states import GDSState, binomials, check_tolerance, j_max
 
 OUTDIR_ENV = "GDSCERT_OUTDIR"
 
@@ -63,6 +63,14 @@ def _check_tol(ctx, param, value: float) -> float:
     return value
 
 
+def _check_binomials(n_qubits: int):
+    """A usage error from N = 1030 on, where C(N, n) overflows floats."""
+    try:
+        binomials(n_qubits)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+
+
 def _load_state(chi_file: str, n_qubits: int | None) -> GDSState:
     """The state in ``chi_file``; its N must equal ``n_qubits`` unless that is None."""
     try:
@@ -81,9 +89,12 @@ def _tested_states(n_qubits, chi_file, tau_spec) -> list:
     if (chi_file is None) == (tau_spec is None):
         raise click.UsageError("provide exactly one of --chi-file or --superrad-tau")
     if chi_file is not None:
-        return [(None, _load_state(chi_file, n_qubits))]
+        state = _load_state(chi_file, n_qubits)
+        _check_binomials(state.n_qubits)
+        return [(None, state)]
     if n_qubits is None:
         raise click.UsageError("--superrad-tau needs --n")
+    _check_binomials(n_qubits)
     traj = _trajectory(n_qubits, tau_spec)
     return list(zip(traj.tau_grid, traj.states))
 
@@ -211,6 +222,8 @@ def cmd_volume(estimator, n_qubits, samples, seed, out):
             raise click.UsageError(f"--seed is mandatory for --estimator {estimator}")
         if samples is None:
             raise click.UsageError(f"--samples is mandatory for --estimator {estimator}")
+        if estimator == "ppt":
+            _check_binomials(n_qubits)
         mc = volume.ppt_gds_volume if estimator == "ppt" else volume.sds_volume_mc
         payload = mc(n_qubits, samples, seed).to_json_dict()
     else:

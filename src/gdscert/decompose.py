@@ -213,7 +213,7 @@ def population_bound(n_qubits: int, n0: int) -> float:
     """Largest population of level n0 attainable by any separable GDS state:
     (n0^n0 / n0!) (n1^n1 / n1!) (N! / N^N), with 0^0 = 1."""
     n_qubits = _checked_int(n_qubits)
-    if not 0 <= n0 <= n_qubits:
+    if _checked_int(n0, "n0", minimum=0) > n_qubits:
         raise ValueError(f"n0 must be in 0..{n_qubits}")
     n1 = n_qubits - n0
     exact = (

@@ -84,13 +84,24 @@ def partial_transpose(rho: np.ndarray, k: int, n_qubits: int) -> np.ndarray:
     dim = 1 << _checked_int(n_qubits)
     if rho.shape != (dim, dim):
         raise ValueError(f"expected a {dim}x{dim} matrix for N={n_qubits}, got {rho.shape}")
-    if not 1 <= k <= n_qubits - 1:
+    if _checked_int(k, "k") > n_qubits - 1:
         raise ValueError(f"k must be in 1..{n_qubits - 1}, got {k}")
     da = 1 << k
     db = dim // da
     return (
         rho.reshape(da, db, da, db).swapaxes(0, 2).reshape(dim, dim)
     )
+
+
+def _dicke_blocks(n_qubits: int, k: int):
+    """Yield ``(delta, idx, w)`` for delta = -(N-k)..k: the Dicke block W H W of
+    the split k | N-k (module docstring) is ``p[idx] * w``, with the square
+    Hankel index idx[a, a'] = a + a' - delta and the weights w = outer(W, W)."""
+    rest = n_qubits - k
+    for delta in range(-rest, k + 1):
+        a = np.arange(max(0, delta), min(k, rest + delta) + 1)
+        w = np.sqrt([float(comb(k, i) * comb(rest, i - delta)) for i in a])
+        yield delta, a[:, None] + a[None, :] - delta, np.outer(w, w)
 
 
 @lru_cache(maxsize=None)
@@ -103,20 +114,14 @@ def _block_tables(n_qubits: int) -> tuple:
     with blocks of that size and ``starts`` the index of each one's first
     block.  The arrays are shared between callers and therefore read-only.
     """
-    by_size = defaultdict(lambda: ([], [], []))
+    by_size = defaultdict(list)
     for k in range(1, n_qubits // 2 + 1):
-        rest = n_qubits - k
-        for delta in range(-rest, k + 1):
-            a = np.arange(max(0, delta), min(k, rest + delta) + 1)
-            w = np.sqrt([float(comb(k, i) * comb(rest, i - delta)) for i in a])
-            idx, ws, splits = by_size[len(a)]
-            idx.append(a[:, None] + a[None, :] - delta)
-            ws.append(np.outer(w, w))
-            splits.append(k - 1)
+        for _, idx, w in _dicke_blocks(n_qubits, k):
+            by_size[len(idx)].append((idx, w, k - 1))
     tables = []
     for size in sorted(by_size):
-        idx, ws, splits = by_size[size]
-        table = (np.array(idx), np.array(ws), *np.unique(splits, return_index=True))
+        idx, w, splits = zip(*by_size[size])
+        table = (np.array(idx), np.array(w), *np.unique(splits, return_index=True))
         for t in table:
             t.setflags(write=False)
         tables.append(table)
@@ -144,14 +149,12 @@ def pt_min_eigenvalues(n_qubits: int, chis: np.ndarray) -> np.ndarray:
     """
     n_qubits, chis = _population_rows(n_qubits, chis)
     p = chis / binomials(n_qubits)
-    splits = range(1, n_qubits // 2 + 1)
-    mins = np.full((len(p), len(splits)), np.inf)
+    mins = np.full((len(p), n_qubits // 2), np.inf)
     for idx, w, ks, starts in _block_tables(n_qubits):
         low = np.linalg.eigvalsh(p[:, idx] * w)[..., 0]
         mins[:, ks] = np.minimum(mins[:, ks], np.minimum.reduceat(low, starts, axis=1))
     # the zero block last, so that a block minimum of -0.0 reads 0.0
-    zero_block = [0.0 if (k + 1) * (n_qubits - k + 1) < 1 << n_qubits else np.inf for k in splits]
-    return np.minimum(mins, zero_block)
+    return np.minimum(mins, 0.0) if n_qubits > 2 else mins
 
 
 @lru_cache(maxsize=None)
@@ -159,20 +162,17 @@ def _mask_tables(n_qubits: int) -> tuple:
     """The two middle-split blocks as packed lower triangles, smaller first.
 
     One ``(idx, w, diag)`` per block: W H0 W (delta = 0) and W H1 W
-    (delta = -1) of the split k = floor(N/2), with their Hankel indices
-    i + j - delta and weights w_i w_j from the module docstring.
+    (delta = -1) of the split k = floor(N/2), as ``_dicke_blocks`` yields them.
     ``p[idx] * w`` stacks the entries a[j:, j] of column j = 0..s-1 of the
     block, one row per entry, and ``diag`` indexes the s diagonal entries.
     At odd N the sizes are equal and delta = 0 comes first.  The arrays are
     shared between callers and therefore read-only.
     """
-    k = n_qubits // 2
-    rest = n_qubits - k
+    blocks = {delta: (idx, w) for delta, idx, w in _dicke_blocks(n_qubits, n_qubits // 2)}
     tables = []
-    for delta, size in sorted([(0, k + 1), (-1, rest)], key=lambda block: block[1]):
-        w = np.sqrt([float(comb(k, i) * comb(rest, i - delta)) for i in range(size)])
-        cols, rows = np.triu_indices(size)  # the lower triangle, by column
-        packed = (rows + cols - delta, (w[rows] * w[cols])[:, None], np.flatnonzero(rows == cols))
+    for idx, w in sorted([blocks[0], blocks[-1]], key=lambda block: len(block[0])):
+        cols, rows = np.triu_indices(len(idx))  # the lower triangle, by column
+        packed = (idx[rows, cols], w[rows, cols][:, None], np.flatnonzero(rows == cols))
         for t in packed:
             t.setflags(write=False)
         tables.append(packed)

@@ -131,8 +131,12 @@ class SDSParams:
 
 @lru_cache(maxsize=None)
 def binomials(n_qubits: int) -> np.ndarray:
-    """The row C(N, 0..N) as floats; shared between callers, so read-only."""
-    row = np.array([comb(n_qubits, k) for k in range(n_qubits + 1)], dtype=float)
+    """The row C(N, 0..N) as floats; shared between callers, so read-only.
+    Raises ValueError from N = 1030 on, where C(N, N//2) exceeds the float range."""
+    try:
+        row = np.array([comb(n_qubits, k) for k in range(n_qubits + 1)], dtype=float)
+    except OverflowError:
+        raise ValueError(f"N={n_qubits} is too large: C(N, N//2) exceeds the float range") from None
     row.setflags(write=False)
     return row
 
@@ -160,7 +164,7 @@ def _check_dense_capacity(n_qubits: int):
 def dicke_ket(n_qubits: int, n0: int) -> np.ndarray:
     """State vector of the symmetric level with n0 zeros (length 2^N, real)."""
     _check_dense_capacity(n_qubits)
-    if not 0 <= n0 <= n_qubits:
+    if _checked_int(n0, "n0", minimum=0) > n_qubits:
         raise ValueError(f"n0 must be in 0..{n_qubits}, got {n0}")
     n1 = n_qubits - n0
     dim = 1 << n_qubits

@@ -110,6 +110,7 @@ def trajectory(n_qubits: int, tau_grid) -> Trajectory:
     # time of ``import gdscert``
     from scipy.linalg import expm
 
+    n_qubits = _checked_int(n_qubits)
     grid = np.array(tau_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise ValueError("tau_grid must be a nonempty 1-D sequence")

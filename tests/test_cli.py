@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gdscert import gds_volume, sds_volume_formula
+from gdscert import gds_volume, sds_volume_formula, superrad, volume
 from gdscert.cli import main
 
 
@@ -437,3 +437,23 @@ def test_in_process_calls_release_redirected_streams():
     del out, err
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("args", [
+    ["volume", "--estimator", "ppt", "--n", "1030", "--samples", "1", "--seed", "0"],
+    ["certify", "--chi-file", "STATE"],
+    ["ppt", "--chi-file", "STATE"],
+    ["certify", "--n", "1100", "--superrad-tau", "1e-3:10:5:geom"],
+])
+def test_float_overflowing_binomials_are_usage_errors(runner, tmp_path, monkeypatch, args):
+    # C(N, N//2) exceeds the float range from N = 1030 on: exit 2 before any
+    # cascade or draw, not a traceback with the negative verdict's exit 1
+    def never(*_):
+        raise AssertionError("computed before the usage error")
+
+    monkeypatch.setattr(superrad, "trajectory", never)
+    monkeypatch.setattr(volume, "ppt_gds_volume", never)
+    state = _write_state(tmp_path, 1030, [1.0] + [0.0] * 1030)
+    result = runner.invoke(main, [state if a == "STATE" else a for a in args])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert "is too large" in result.stderr

@@ -230,6 +230,37 @@ class TestDickeBlocks:
         assert low[0, 0] == min(np.linalg.eigvalsh(b)[0] for b in dicke_blocks([0.3, 0.4, 0.3], 1))
 
 
+@pytest.mark.parametrize("n", range(1, 41))
+def test_both_tables_come_from_the_dicke_blocks(n):
+    k = n // 2
+    blocks = {delta: (idx, w) for delta, idx, w in ppt._dicke_blocks(n, k)}
+    # smaller block first; at odd N the sizes are equal and delta = 0 leads
+    order = (0, -1) if n % 2 else (-1, 0)
+    for delta, (idx, w, diag) in zip(order, ppt._mask_tables(n), strict=True):
+        size = len(diag)
+        # column j packs the entries a[j:, j], starting at its diagonal entry
+        lower_idx = np.zeros((size, size), dtype=idx.dtype)
+        lower_w = np.zeros((size, size))
+        for j, start in enumerate(diag):
+            lower_idx[j:, j] = idx[start:start + size - j]
+            lower_w[j:, j] = w[start:start + size - j, 0]
+        np.testing.assert_array_equal(lower_idx, np.tril(blocks[delta][0]))
+        np.testing.assert_array_equal(lower_w, np.tril(blocks[delta][1]))
+    if n < 2:
+        return  # k = 0 is no split, and the eigensolve table has none
+    for delta in order:
+        block_idx, block_w = blocks[delta]
+        for idx, w, ks, starts in ppt._block_tables(n):
+            if idx.shape[1] == len(block_idx) and k - 1 in ks:
+                pos = list(ks).index(k - 1)
+                split = range(starts[pos], starts[pos + 1] if pos + 1 < len(ks) else len(idx))
+                assert any(np.array_equal(idx[i], block_idx) and np.array_equal(w[i], block_w)
+                           for i in split)
+                break
+        else:
+            pytest.fail(f"no {len(block_idx)}-row table holds split {k}")
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=16),

@@ -281,6 +281,11 @@ def _one_rule_cases():
         case(dicke_ket, (n, 0), "n_qubits", n)
         case(dicke_projector, (n, 0), "n_qubits", n)
         case(random_sds_params, (n, rng), "n_qubits", n)
+    for bad in (True, 1.5, -1):
+        nonnegative = f"n0 must be a nonnegative integer, got {bad!r}"
+        case(population_bound, (4, bad), "n0", bad, nonnegative)
+        case(dicke_ket, (4, bad), "n0", bad, nonnegative)
+        case(partial_transpose, (np.eye(16), bad, 4), "k", bad)
     for samples in (True, 2.5, -3):
         case(ppt_gds_volume, (4, samples, 1), "n_samples", samples)
         case(sds_volume_mc, (4, samples, 1), "n_samples", samples)
@@ -295,6 +300,19 @@ def _one_rule_cases():
 def test_counts_and_batches_follow_one_rule(fn, args, message):
     with pytest.raises(ValueError, match=message):
         fn(*args)
+
+
+def test_trajectory_keeps_a_python_int():
+    traj = trajectory(np.int64(3), [0.5])
+    assert type(traj.n_qubits) is int and type(traj.states[0].n_qubits) is int
+
+
+def test_binomials_stop_where_floats_overflow():
+    # C(1029, 514) is about 1.4e308, just below the largest float
+    assert np.isfinite(binomials(1029)).all()
+    assert binomials(1029)[514] == float(comb(1029, 514))
+    with pytest.raises(ValueError, match="N=1030 is too large"):
+        binomials(1030)
 
 
 def test_bool_qubit_count_misses_the_bound_cache():
