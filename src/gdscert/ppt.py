@@ -189,9 +189,10 @@ def ppt_pass_mask(n_qubits: int, chis: np.ndarray) -> np.ndarray:
     definite (up to the measure-zero case of equality), i.e. iff every pivot
     of its Cholesky elimination is positive.
 
-    ``chis`` is an (m, N+1) batch; the result is a bool (m,) mask.  The
-    entries are (chi_n / C(N, n)) * (w_i w_k), plus tol on the diagonal.
-    The elimination runs rows last on the lower triangle: every entry is
+    ``chis`` is an (m, N+1) batch, read fastest when F-ordered (the PPT
+    volume's draw is); the result is a bool (m,) mask.  The entries are
+    (chi_n / C(N, n)) * (w_i w_k), plus tol on the diagonal.  The
+    elimination runs rows last on the lower triangle: every entry is
     one contiguous vector over the batch, and column j updates
     a[i, k] -= (a[i, j] / a[j, j]) * a[k, j] for i >= k > j.  A row whose
     pivot is not positive leaves the batch at that pivot, so later columns,
@@ -218,10 +219,11 @@ def ppt_pass_mask(n_qubits: int, chis: np.ndarray) -> np.ndarray:
             # a packs columns j..s-1: a[0] is the pivot a[j, j], a[1:t + 1]
             # the column below it and a[t + 1:] the trailing triangle
             passed = a[0] > 0
-            if not passed.all():
-                keep = np.flatnonzero(passed)
-                if not len(keep):
+            n_passed = np.count_nonzero(passed)
+            if n_passed < len(passed):
+                if not n_passed:
                     return np.zeros(m, dtype=bool)
+                keep = np.flatnonzero(passed)
                 rows = rows[keep]
                 a = a.take(keep, axis=1)
             t = len(diag) - 1 - j  # rows below the pivot

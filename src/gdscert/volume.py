@@ -7,6 +7,10 @@ to ``_mc_estimate``: chunks of ``DEFAULT_CHUNK`` samples, chunk i drawn from
 stream i of ``SeedSequence(seed)`` in slices of at most ``SLICE_ROWS`` rows.
 The seed therefore fixes every sample, so identical (seed, args) reproduce
 bit-identical numbers.
+
+The PPT estimator draws ``sample_chis``'s populations bit for bit, but
+rows last (``_sample_chis_rows_last``), so that ``ppt_pass_mask`` reads each
+level as one contiguous row.
 """
 
 from __future__ import annotations
@@ -57,10 +61,13 @@ def _mc_estimate(n_samples, seed, scale, method, draw) -> VolumeEstimate:
     last one the remainder) and its own generator on stream i of
     ``SeedSequence(seed)``, whatever the integrand and N.  Each chunk is
     drawn in slices of at most ``SLICE_ROWS`` samples from that one
-    generator; a draw that takes its rows from a single row-major stream
-    (``sample_chis``) gives the same rows sliced or whole, so an integrand of
-    0s and 1s, whose sums are exact, gives the same estimate either way.
-    ``seed`` must be a nonnegative integer: None would draw fresh entropy.
+    generator.  Both draws take row r of a slice from the r-th run of N + 1
+    exponentials in that generator's stream, whether they store it row-major
+    (``sample_chis``) or rows last (``_sample_chis_rows_last``), so they give
+    the same rows sliced or whole, and an integrand of 0s and 1s, whose sums
+    are exact, gives the same estimate either way.  A bool indicator is
+    counted once, since it is its own square.  ``seed`` must be a
+    nonnegative integer: None would draw fresh entropy.
     """
     n_samples = _checked_int(n_samples, "n_samples")
     seed = _checked_int(seed, "seed", minimum=0)
@@ -71,8 +78,14 @@ def _mc_estimate(n_samples, seed, scale, method, draw) -> VolumeEstimate:
         rng = np.random.default_rng(ss)
         for start in range(0, m, SLICE_ROWS):
             values = draw(rng, min(SLICE_ROWS, m - start))
-            acc_sum += float(values.sum())
-            acc_sumsq += float((values**2).sum())
+            if values.dtype == bool:
+                # an indicator is its own square: one count serves both sums
+                count = int(np.count_nonzero(values))
+                acc_sum += count
+                acc_sumsq += count
+            else:
+                acc_sum += float(values.sum())
+                acc_sumsq += float((values**2).sum())
     mean_raw = acc_sum / n_samples
     var_raw = max(acc_sumsq / n_samples - mean_raw**2, 0.0)
     return VolumeEstimate(
@@ -86,10 +99,54 @@ def _mc_estimate(n_samples, seed, scale, method, draw) -> VolumeEstimate:
 
 def sample_chis(n_qubits: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """(size, N+1) populations uniform on the standard simplex, via
-    normalized exponential spacings."""
+    normalized exponential spacings.  N may be 0 (one weight of 1)."""
+    n_qubits = _checked_int(n_qubits, minimum=0)
+    size = _checked_int(size, "size", minimum=0)
     e = rng.standard_exponential(size=(size, n_qubits + 1))
     e /= e.sum(axis=1, keepdims=True)
     return e
+
+
+def _sample_chis_rows_last(n_qubits: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``sample_chis(n_qubits, rng, size)`` bit for bit, stored rows last.
+
+    The same exponentials in the same stream order are copied to one
+    contiguous row per level, summed by ``_pairwise_row_sum`` and divided in
+    place.  The result is the F-ordered (size, N+1) view of that (N+1, size)
+    array, so a consumer that reads ``chis.T`` (``ppt_pass_mask``) reads
+    contiguous rows.
+    """
+    e = rng.standard_exponential(size=(size, n_qubits + 1))
+    t = e.T.copy()
+    t /= _pairwise_row_sum(t)
+    return t.T
+
+
+def _pairwise_row_sum(t: np.ndarray) -> np.ndarray:
+    """The m column sums of a (k, m) array, each added in the order numpy's
+    pairwise summation adds k contiguous terms, so they equal
+    ``e.sum(axis=1)`` of the row-major (m, k) batch ``e`` that ``t``
+    transposes, bit for bit: a left fold below 8 terms, eight running sums
+    combined as a tree up to 128, and above that two halves split at a
+    multiple of 8 (``tests/test_volume.py`` checks the equality for 1..300
+    terms)."""
+    k = len(t)
+    if k < 8:
+        s = t[0].copy()
+        for row in t[1:]:
+            s += row
+        return s
+    if k <= 128:
+        r = t[:8].copy()
+        end = k - k % 8
+        for i in range(8, end, 8):
+            r += t[i:i + 8]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for row in t[end:]:
+            s += row
+        return s
+    half = k // 2 - (k // 2) % 8
+    return _pairwise_row_sum(t[:half]) + _pairwise_row_sum(t[half:])
 
 
 def gds_volume(n_qubits: int) -> Fraction:
@@ -126,13 +183,13 @@ def ppt_gds_volume(n_qubits: int, n_samples: int, seed: int) -> VolumeEstimate:
 
     Fraction of uniform simplex samples that ``ppt_pass_mask`` passes (the
     two middle-split Dicke blocks have lambda_min >= -DEFAULT_EIG_TOL, which
-    decides PPT for every split), scaled by the simplex volume 1/N!.
+    decides PPT for every split), scaled by the simplex volume 1/N!.  The
+    samples are ``sample_chis``'s, drawn rows last.
     """
     n_qubits = _checked_int(n_qubits)
 
     def draw(rng, m):
-        chis = sample_chis(n_qubits, rng, m)
-        return ppt_pass_mask(n_qubits, chis)
+        return ppt_pass_mask(n_qubits, _sample_chis_rows_last(n_qubits, rng, m))
 
     return _mc_estimate(n_samples, seed, float(gds_volume(n_qubits)), METHOD_INDICATOR, draw)
 

@@ -25,7 +25,7 @@ from gdscert import (
     trajectory,
 )
 from gdscert.states import bernstein, binomials, dicke_ket, is_hermitian
-from gdscert.volume import ppt_pass_mask
+from gdscert.volume import ppt_pass_mask, sample_chis
 
 
 class TestDickeProjector:
@@ -286,6 +286,10 @@ def _one_rule_cases():
         case(population_bound, (4, bad), "n0", bad, nonnegative)
         case(dicke_ket, (4, bad), "n0", bad, nonnegative)
         case(partial_transpose, (np.eye(16), bad, 4), "k", bad)
+    for bad in (True, 2.0, -1):
+        # N = 0 is allowed: sds_volume_mc draws N = 1's single weight with it
+        for name, args in (("n_qubits", (bad, rng, 2)), ("size", (2, rng, bad))):
+            case(sample_chis, args, name, bad, f"{name} must be a nonnegative integer, got {bad!r}")
     for samples in (True, 2.5, -3):
         case(ppt_gds_volume, (4, samples, 1), "n_samples", samples)
         case(sds_volume_mc, (4, samples, 1), "n_samples", samples)

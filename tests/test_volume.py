@@ -34,6 +34,20 @@ class TestSimplexSampling:
             e = np.random.default_rng(n).exponential(size=(size, n + 1))
             np.testing.assert_array_equal(got, e / e.sum(axis=1, keepdims=True))
 
+    def test_rows_last_draw_equals_sample_chis(self):
+        # N + 1 = 1..300 terms per row covers the left fold (< 8), the eight
+        # running sums (8..128) and the halving (> 128) of the pairwise sum;
+        # whole slices at the N the estimators and CI run
+        cases = [(n, 1 + n % 7) for n in range(300)]
+        cases += [(n, volume.SLICE_ROWS) for n in (1, 4, 6, 8, 130)]
+        for n, size in cases:
+            a, b = np.random.default_rng(n), np.random.default_rng(n)
+            want = sample_chis(n, a, size)
+            got = volume._sample_chis_rows_last(n, b, size)
+            assert got.flags.f_contiguous and got.shape == (size, n + 1)
+            assert np.array_equal(got, want), (n, size)
+            assert a.bit_generator.state == b.bit_generator.state
+
     def test_component_means(self):
         rng = np.random.default_rng(0)
         for n in (2, 4, 7):
