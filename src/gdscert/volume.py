@@ -66,7 +66,7 @@ def _mc_estimate(n_samples, seed, scale, method, draw) -> VolumeEstimate:
     (``sample_chis``) or rows last (``_sample_chis_rows_last``), so they give
     the same rows sliced or whole, and an integrand of 0s and 1s, whose sums
     are exact, gives the same estimate either way.  A bool indicator is
-    counted once, since it is its own square.  ``seed`` must be a
+    summed once, since it is its own square.  ``seed`` must be a
     nonnegative integer: None would draw fresh entropy.
     """
     n_samples = _checked_int(n_samples, "n_samples")
@@ -78,14 +78,9 @@ def _mc_estimate(n_samples, seed, scale, method, draw) -> VolumeEstimate:
         rng = np.random.default_rng(ss)
         for start in range(0, m, SLICE_ROWS):
             values = draw(rng, min(SLICE_ROWS, m - start))
-            if values.dtype == bool:
-                # an indicator is its own square: one count serves both sums
-                count = int(np.count_nonzero(values))
-                acc_sum += count
-                acc_sumsq += count
-            else:
-                acc_sum += float(values.sum())
-                acc_sumsq += float((values**2).sum())
+            s = float(values.sum())
+            acc_sum += s
+            acc_sumsq += s if values.dtype == bool else float((values**2).sum())
     mean_raw = acc_sum / n_samples
     var_raw = max(acc_sumsq / n_samples - mean_raw**2, 0.0)
     return VolumeEstimate(

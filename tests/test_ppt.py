@@ -526,19 +526,6 @@ def _separable_blend(n, seed, ts):
     return (1.0 - t) * sample_chis(n, rng, len(ts)) + t * separable
 
 
-@pytest.mark.parametrize("n", range(1, 41))
-def test_pass_mask_reads_an_f_ordered_batch_as_its_c_ordered_copy(n):
-    # the PPT volume hands the mask the F-ordered view of a rows-last draw
-    rng = np.random.default_rng(600 + n)
-    blend = _separable_blend(n, 700 + n, np.linspace(0.0, 1.0, 60))
-    for chis in (sample_chis(n, rng, 500), _product_rows(n), blend):
-        f_ordered = np.asfortranarray(chis)
-        assert f_ordered.flags.f_contiguous and not f_ordered.flags.c_contiguous
-        np.testing.assert_array_equal(
-            ppt_pass_mask(n, f_ordered), ppt_pass_mask(n, np.ascontiguousarray(chis))
-        )
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=14),
