@@ -35,8 +35,8 @@ def _csv(header, rows) -> str:
 
 
 def _trajectory(n_qubits: int, spec: str) -> superrad.Trajectory:
-    """The cascade on the time grid ``spec``, min:max:points:lin|geom; a grid
-    on which its propagator overflows (at large tau) is a usage error too."""
+    """The cascade on the time grid ``spec``, min:max:points:lin|geom; every
+    finite tau is a cascade time, and a huge one gives the ground state."""
     try:
         lo_s, hi_s, pts_s, kind = spec.split(":")
         lo, hi, pts = float(lo_s), float(hi_s), int(pts_s)

