@@ -123,8 +123,8 @@ def closed_form_n8(tau: float) -> GDSState:
 _EXTRA_TERMS = 20
 
 
-def _series_table(gen: np.ndarray) -> tuple:
-    """q and table[m, r, i] = (P^(m + r))[i + m, i], for P = I + gen / q.
+def _series_table(gen: np.ndarray, q: float) -> np.ndarray:
+    """table[m, r, i] = (P^(m + r))[i + m, i], for P = I + gen / q.
 
     P^(m + r)[i + m, i] sums the ways to climb from level i to i + m in
     m + r steps: the product of the m climbing probabilities times h_r, the
@@ -132,7 +132,6 @@ def _series_table(gen: np.ndarray) -> tuple:
     probabilities of levels i..i+m.
     """
     dim = len(gen)
-    q = -np.diag(gen).min()
     # padded past the top level, so level i + m may run off it
     stay = np.zeros(2 * dim)
     stay[:dim] = 1.0 + np.diag(gen) / q
@@ -148,7 +147,7 @@ def _series_table(gen: np.ndarray) -> tuple:
     for r in range(1, _EXTRA_TERMS + 1):
         # h_r(x_i..x_{i+m}) = sum over m' <= m of x_{i+m'} h_(r-1)(x_i..x_{i+m'})
         np.cumsum(x * h[:, r - 1], axis=0, out=h[:, r])
-    return q, paths[:, None, :] * h
+    return paths[:, None, :] * h
 
 
 def _propagate(gen: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -156,7 +155,8 @@ def _propagate(gen: np.ndarray, grid: np.ndarray) -> np.ndarray:
     a cascade generator (lower bidiagonal, zero column sums)."""
     dim = len(gen)
     rates = -np.diag(gen)
-    q, table = _series_table(gen)
+    q = rates.max()
+    table = _series_table(gen, q)
     # tau = 2^s h with qh <= 1/2; s ascends with the grid
     with np.errstate(divide="ignore"):
         squarings = np.maximum(np.ceil(np.log2(2.0 * q) + np.log2(grid)), 0.0).astype(int)
