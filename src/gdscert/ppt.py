@@ -38,6 +38,13 @@ other block run only on the rows still passing.  Every row ``is_ppt``
 passes at that tol passes the mask; the converse can fail only where a
 smaller block's lambda_min lies in a thin band below -tol, its weights
 differing from the middle split's.
+
+``ppt_segment_share`` integrates that verdict exactly along a segment that
+holds every level but the last two, and their sum.  Only the last row of
+each block moves along it, so the same elimination of every column but the
+last leaves a 2 x 2 tail whose determinant is a concave quadratic (or a
+linear function) of the position, and the part that passes is one interval
+between roots.
 """
 
 from __future__ import annotations
@@ -179,6 +186,56 @@ def _mask_tables(n_qubits: int) -> tuple:
     return tuple(tables)
 
 
+def _packed(p, idx, w, diag, tol) -> np.ndarray:
+    """The block of the rows-last batch ``p`` that a table of
+    ``_mask_tables`` or ``_segment_tables`` packs as ``(idx, w, diag)``, plus
+    ``tol`` (a scalar or one value per batch row) on its diagonal."""
+    a = p[idx]
+    a *= w
+    for d in diag:
+        a[d] += tol
+    return a
+
+
+def _eliminate(a: np.ndarray, size: int, last: int) -> tuple:
+    """Check the pivots of columns 0..last of a batch of packed size x size
+    lower triangles, eliminating the columns before ``last``, rows last;
+    return ``(rest, keep)``.
+
+    ``a`` packs the lower triangle by column, one entry per row and the batch
+    on the last axis (``_mask_tables``).  Column j updates
+    a[i, k] -= (a[i, j] / a[j, j]) * a[k, j] for i >= k > j, every entry one
+    contiguous vector over the batch.  A batch row whose pivot is not
+    positive leaves at that pivot, so later columns run only on the rows
+    still passing.  ``rest`` packs columns last..size-1 of the Schur
+    complement of the rows still passing, and ``keep`` indexes those rows in
+    the batch ``a`` came in.
+    """
+    keep = np.arange(a.shape[1])
+    for j in range(last + 1):
+        # a packs columns j..s-1: a[0] is the pivot a[j, j], a[1:t + 1]
+        # the column below it and a[t + 1:] the trailing triangle
+        passed = a[0] > 0
+        n_passed = np.count_nonzero(passed)
+        if n_passed < len(passed):
+            kept = np.flatnonzero(passed)
+            keep = keep[kept]
+            a = a.take(kept, axis=1)
+            if not n_passed:
+                break
+        if j == last:
+            break
+        t = size - 1 - j  # rows below the pivot
+        col = a[1:t + 1] / a[0]
+        rest = a[t + 1:]
+        start = 0
+        for k in range(t):  # trailing column k: rows i = k..t-1
+            rest[start:start + t - k] -= col[k:] * a[1 + k]
+            start += t - k
+        a = rest
+    return a, keep
+
+
 def ppt_pass_mask(n_qubits: int, chis: np.ndarray) -> np.ndarray:
     """Batched PPT verdict (at ``DEFAULT_EIG_TOL``) of population rows.
 
@@ -189,20 +246,15 @@ def ppt_pass_mask(n_qubits: int, chis: np.ndarray) -> np.ndarray:
     definite (up to the measure-zero case of equality), i.e. iff every pivot
     of its Cholesky elimination is positive.
 
-    ``chis`` is an (m, N+1) batch, read fastest when F-ordered (the PPT
-    volume's draw is); the result is a bool (m,) mask.  The entries are
-    (chi_n / C(N, n)) * (w_i w_k), plus tol on the diagonal.  The
-    elimination runs rows last on the lower triangle: every entry is
-    one contiguous vector over the batch, and column j updates
-    a[i, k] -= (a[i, j] / a[j, j]) * a[k, j] for i >= k > j.  A row whose
-    pivot is not positive leaves the batch at that pivot, so later columns,
-    and the larger block after the smaller one, run only on the rows still
-    passing.  In exact arithmetic this is the square elimination that
-    ``tests/test_ppt.py`` keeps as the reference; in floating point that
-    one's two triangles differ in the last bits, so the pivots may too, and
-    the test checks that the verdicts agree.  Rows are independent, so a
-    row's verdict does not depend on the batch it comes in, and the caller
-    sizes the batch (``volume._mc_estimate`` passes at most ``SLICE_ROWS`` rows).
+    ``chis`` is an (m, N+1) batch; the result is a bool (m,) mask.  The
+    entries are (chi_n / C(N, n)) * (w_i w_k), plus tol on the diagonal, and
+    ``_eliminate`` runs every column of the smaller block, then of the larger
+    one on the rows still passing.  In exact arithmetic this is the square
+    elimination that ``tests/test_ppt.py`` keeps as the reference; in
+    floating point that one's two triangles differ in the last bits, so the
+    pivots may too, and the test checks that the verdicts agree.  Rows are
+    independent, so a row's verdict does not depend on the batch it comes
+    in, and the caller sizes the batch.
     """
     n_qubits, chis = _population_rows(n_qubits, chis)
     m = len(chis)
@@ -211,32 +263,121 @@ def ppt_pass_mask(n_qubits: int, chis: np.ndarray) -> np.ndarray:
     np.divide(chis.T, binomials(n_qubits)[:, None], out=p)
     rows = np.arange(m)  # the rows of chis still passing
     for idx, w, diag in _mask_tables(n_qubits):
-        a = (p if len(rows) == m else p.take(rows, axis=1))[idx]
-        a *= w
-        for d in diag:
-            a[d] += DEFAULT_EIG_TOL
-        for j in range(len(diag)):
-            # a packs columns j..s-1: a[0] is the pivot a[j, j], a[1:t + 1]
-            # the column below it and a[t + 1:] the trailing triangle
-            passed = a[0] > 0
-            n_passed = np.count_nonzero(passed)
-            if n_passed < len(passed):
-                if not n_passed:
-                    return np.zeros(m, dtype=bool)
-                keep = np.flatnonzero(passed)
-                rows = rows[keep]
-                a = a.take(keep, axis=1)
-            t = len(diag) - 1 - j  # rows below the pivot
-            col = a[1:t + 1] / a[0]
-            rest = a[t + 1:]
-            start = 0
-            for k in range(t):  # trailing column k: rows i = k..t-1
-                rest[start:start + t - k] -= col[k:] * a[1 + k]
-                start += t - k
-            a = rest
+        a = _packed(p if len(rows) == m else p.take(rows, axis=1), idx, w, diag, DEFAULT_EIG_TOL)
+        _, keep = _eliminate(a, len(diag), len(diag) - 1)
+        rows = rows[keep]
+        if not len(rows):
+            break
     mask = np.zeros(m, dtype=bool)
     mask[rows] = True
     return mask
+
+
+@lru_cache(maxsize=None)
+def _segment_tables(n_qubits: int) -> tuple:
+    """``_mask_tables`` with the binomials folded into the weights, and the
+    slopes of the block's last row along the segment.
+
+    One ``(idx, w, diag, dq, dc)`` per block: ``e[idx] * w`` packs W H W of
+    the unnormalised populations e (chi_n = e_n / sum(e)), that is
+    e_n / C(N, n) times the Dicke weights.  Moving u from e_{N-1} to e_N
+    changes only the last row: p_N sits in the corner (s-1, s-1) and p_{N-1}
+    next to it, or in the corner of the block without p_N.  ``dq`` and ``dc``
+    are d/du of the entries (s-1, s-2) and (s-1, s-1); ``dq`` is 0 for a
+    1 x 1 block.  The arrays are shared between callers and therefore
+    read-only.
+    """
+    binom = binomials(n_qubits)
+    tables = []
+    for idx, w, diag in _mask_tables(n_qubits):
+        folded = w / binom[idx][:, None]
+        folded.setflags(write=False)
+        slope = folded[:, 0] * ((idx == n_qubits) * 1.0 - (idx == n_qubits - 1))
+        dq = slope[-2] if len(diag) > 1 else 0.0
+        tables.append((idx, folded, diag, float(dq), float(slope[-1])))
+    return tuple(tables)
+
+
+def _pass_interval(n_qubits: int, rows: np.ndarray) -> tuple:
+    """``(alive, lo, hi)``: the rows of ``rows`` that may pass
+    ``ppt_pass_mask`` on their segment, and for each one the open interval
+    (lo, hi) of u in [-e_N, e_{N-1}] on which the row with e_{N-1} - u and
+    e_N + u passes; it is empty where hi <= lo.
+
+    ``rows`` is an (m, N+1) batch of nonnegative populations up to a
+    positive factor per row, e.  Moving u keeps the row sum S, and tol*S on
+    the diagonal is tol on the normalised row.  Every pivot but the last of
+    each block is independent of u (``_segment_tables``), so ``_eliminate``
+    checks every pivot but the last and leaves the tail [[P, q0 + dq u],
+    [., c0 + dc u]] with P > 0.  It is positive definite iff
+    f(u) = P (c0 + dc u) - (q0 + dq u)^2 > 0: on one side of a root where
+    dq = 0 (the block whose corner is p_{N-1}), and between the roots of a
+    concave quadratic otherwise.  A row leaves the batch at a failed pivot,
+    and before the second block once its interval is empty.
+    """
+    n_qubits, e = _population_rows(n_qubits, rows)
+    p = np.ascontiguousarray(e.T)  # rows last, as in ppt_pass_mask
+    m = p.shape[1]
+    tol = p.sum(axis=0)
+    tol *= DEFAULT_EIG_TOL
+    lo, hi = -p[n_qubits], p[n_qubits - 1].copy()
+    alive = np.arange(m)
+    for block, (idx, w, diag, dq, dc) in enumerate(_segment_tables(n_qubits)):
+        if block:
+            keep = np.flatnonzero(lo < hi)
+            alive, lo, hi, tol = alive[keep], lo[keep], hi[keep], tol[keep]
+        # packed in the call, so that the block is freed when _narrow returns
+        keep, lo, hi = _narrow(_packed(p if len(alive) == m else p.take(alive, axis=1),
+                                       idx, w, diag, tol), len(diag), dq, dc, lo, hi)
+        if len(keep) < len(alive):
+            alive, tol = alive[keep], tol[keep]
+    return alive, lo, hi
+
+
+def _narrow(a, size, dq, dc, lo, hi) -> tuple:
+    """One block of ``_pass_interval``, packed in ``a``: ``(keep, lo, hi)``,
+    the batch rows whose pivots before the tail pass and their interval
+    narrowed to where the tail is positive definite; ``lo`` and ``hi`` may
+    change in place."""
+    a, keep = _eliminate(a, size, size - 2)
+    if len(keep) < len(lo):
+        lo, hi = lo[keep], hi[keep]
+        if not len(keep):
+            return keep, lo, hi
+    pivot, q0, c0 = a if size > 1 else (1.0, 0.0, a[0])
+    if dq:
+        # with v = q0 + dq u, f = R^2 - (v - q0 - g)^2 for the g and R below
+        g = pivot * (0.5 * dc / dq) - q0
+        r = np.sqrt(np.maximum(g * g + (pivot * c0 - q0 * q0), 0.0))
+        ends = (g - r, g + r) if dq > 0 else (g + r, g - r)
+        np.maximum(lo, ends[0] / dq, out=lo)
+        np.minimum(hi, ends[1] / dq, out=hi)
+    else:
+        root = (q0 * q0 / pivot - c0) / dc
+        if dc > 0:
+            np.maximum(lo, root, out=lo)
+        else:
+            np.minimum(hi, root, out=hi)
+    return keep, lo, hi
+
+
+def ppt_segment_share(n_qubits: int, rows: np.ndarray) -> np.ndarray:
+    """The share of each row's segment that ``ppt_pass_mask`` passes.
+
+    ``rows`` is an (m, N+1) batch of nonnegative populations up to a
+    positive factor per row, e.  The segment keeps every level but N-1 and
+    N and their sum s = e_{N-1} + e_N, and moves e_N over [0, s]; the result
+    is the length of its part that passes (``_pass_interval``) divided by s,
+    in [0, 1], and 0 where s = 0.  For a uniform draw on the simplex,
+    (e_{N-1}, e_N) is uniform on the segment given the other levels, so the
+    mean share is the PPT fraction, with a smaller variance than the mean of
+    the mask.
+    """
+    alive, lo, hi = _pass_interval(n_qubits, rows)
+    e = np.asarray(rows, dtype=float)
+    share = np.zeros(len(e))
+    share[alive] = np.maximum(hi - lo, 0.0) / (e[alive, -2] + e[alive, -1])
+    return share
 
 
 def is_ppt(state: GDSState, tol: float = DEFAULT_EIG_TOL) -> PptReport:

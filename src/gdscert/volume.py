@@ -8,9 +8,13 @@ stream i of ``SeedSequence(seed)`` in slices of at most ``SLICE_ROWS`` rows.
 The seed therefore fixes every sample, so identical (seed, args) reproduce
 bit-identical numbers.
 
-The PPT estimator draws ``sample_chis``'s populations bit for bit, but
-rows last (``_sample_chis_rows_last``), so that ``ppt_pass_mask`` reads each
-level as one contiguous row.
+The PPT estimator integrates ``ppt_segment_share`` rather than the 0/1
+verdict of ``ppt_pass_mask``: for each drawn point, the exact PPT share of
+the segment through it on which every level but chi_{N-1} and chi_N is held.
+Given those levels the point is uniform on its segment, so the share has the
+verdict's mean (a Rao-Blackwell estimator) and a smaller variance: about a
+quarter at N = 4.  It reads the draw's exponentials unnormalised, stored
+rows last.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ from math import comb, factorial, prod, sqrt
 import numpy as np
 
 # partial_transpose and ppt_pass_mask are re-exported: the traced benchmark
-# run (perfbench/tracing.py) patches them here.
-from .ppt import partial_transpose, ppt_pass_mask  # noqa: F401
+# run (perfbench/tracing.py) patches them here.  ppt_segment_share is called
+# through this module so that it can be patched here too.
+from .ppt import partial_transpose, ppt_pass_mask, ppt_segment_share  # noqa: F401
 from .states import _checked_int, j_max
 
-METHOD_INDICATOR = "MC-indicator"
+METHOD_SEGMENT = "MC-segment"
 METHOD_JACOBIAN = "MC-jacobian"
 METHOD_ANALYTIC = "analytic"
 
@@ -40,7 +45,7 @@ class VolumeEstimate:
     """Monte-Carlo volume: the scaled sample mean and its standard error.
 
     ``seed`` is the caller's seed and ``method`` names the integrand
-    (``METHOD_INDICATOR`` or ``METHOD_JACOBIAN``).
+    (``METHOD_SEGMENT`` or ``METHOD_JACOBIAN``).
     """
 
     mean: float
@@ -56,18 +61,14 @@ class VolumeEstimate:
 def _mc_estimate(n_samples, seed, scale, method, draw) -> VolumeEstimate:
     """Mean and standard error of ``draw`` over ``n_samples`` samples, scaled.
 
-    ``draw(rng, m)`` returns the integrand at m fresh samples (an indicator
-    may return its bool mask).  Chunk i has ``DEFAULT_CHUNK`` samples (the
-    last one the remainder) and its own generator on stream i of
-    ``SeedSequence(seed)``, whatever the integrand and N.  Each chunk is
-    drawn in slices of at most ``SLICE_ROWS`` samples from that one
-    generator.  Both draws take row r of a slice from the r-th run of N + 1
-    exponentials in that generator's stream, whether they store it row-major
-    (``sample_chis``) or rows last (``_sample_chis_rows_last``), so they give
-    the same rows sliced or whole, and an integrand of 0s and 1s, whose sums
-    are exact, gives the same estimate either way.  A bool indicator is
-    summed once, since it is its own square.  ``seed`` must be a
-    nonnegative integer: None would draw fresh entropy.
+    ``draw(rng, m)`` returns the float integrand at m fresh samples.  Chunk
+    i has ``DEFAULT_CHUNK`` samples (the last one the remainder) and its own
+    generator on stream i of ``SeedSequence(seed)``, whatever the integrand
+    and N.  Each chunk is drawn in slices of at most ``SLICE_ROWS`` samples
+    from that one generator, and the sums of the integrand and its square
+    are taken per slice, so the estimate depends on the slice grid as well
+    as on the seed.  ``seed`` must be a nonnegative integer: None would draw
+    fresh entropy.
     """
     n_samples = _checked_int(n_samples, "n_samples")
     seed = _checked_int(seed, "seed", minimum=0)
@@ -78,9 +79,8 @@ def _mc_estimate(n_samples, seed, scale, method, draw) -> VolumeEstimate:
         rng = np.random.default_rng(ss)
         for start in range(0, m, SLICE_ROWS):
             values = draw(rng, min(SLICE_ROWS, m - start))
-            s = float(values.sum())
-            acc_sum += s
-            acc_sumsq += s if values.dtype == bool else float((values**2).sum())
+            acc_sum += float(values.sum())
+            acc_sumsq += float((values**2).sum())
     mean_raw = acc_sum / n_samples
     var_raw = max(acc_sumsq / n_samples - mean_raw**2, 0.0)
     return VolumeEstimate(
@@ -100,48 +100,6 @@ def sample_chis(n_qubits: int, rng: np.random.Generator, size: int) -> np.ndarra
     e = rng.standard_exponential(size=(size, n_qubits + 1))
     e /= e.sum(axis=1, keepdims=True)
     return e
-
-
-def _sample_chis_rows_last(n_qubits: int, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``sample_chis(n_qubits, rng, size)`` bit for bit, stored rows last.
-
-    The same exponentials in the same stream order are copied to one
-    contiguous row per level, summed by ``_pairwise_row_sum`` and divided in
-    place.  The result is the F-ordered (size, N+1) view of that (N+1, size)
-    array, so a consumer that reads ``chis.T`` (``ppt_pass_mask``) reads
-    contiguous rows.
-    """
-    e = rng.standard_exponential(size=(size, n_qubits + 1))
-    t = e.T.copy()
-    t /= _pairwise_row_sum(t)
-    return t.T
-
-
-def _pairwise_row_sum(t: np.ndarray) -> np.ndarray:
-    """The m column sums of a (k, m) array, each added in the order numpy's
-    pairwise summation adds k contiguous terms, so they equal
-    ``e.sum(axis=1)`` of the row-major (m, k) batch ``e`` that ``t``
-    transposes, bit for bit: a left fold below 8 terms, eight running sums
-    combined as a tree up to 128, and above that two halves split at a
-    multiple of 8 (``tests/test_volume.py`` checks the equality for 1..300
-    terms)."""
-    k = len(t)
-    if k < 8:
-        s = t[0].copy()
-        for row in t[1:]:
-            s += row
-        return s
-    if k <= 128:
-        r = t[:8].copy()
-        end = k - k % 8
-        for i in range(8, end, 8):
-            r += t[i:i + 8]
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for row in t[end:]:
-            s += row
-        return s
-    half = k // 2 - (k // 2) % 8
-    return _pairwise_row_sum(t[:half]) + _pairwise_row_sum(t[half:])
 
 
 def gds_volume(n_qubits: int) -> Fraction:
@@ -176,17 +134,22 @@ def sds_volume_formula(n_qubits: int) -> Fraction:
 def ppt_gds_volume(n_qubits: int, n_samples: int, seed: int) -> VolumeEstimate:
     """Monte-Carlo volume of the PPT region of GDS states.
 
-    Fraction of uniform simplex samples that ``ppt_pass_mask`` passes (the
-    two middle-split Dicke blocks have lambda_min >= -DEFAULT_EIG_TOL, which
-    decides PPT for every split), scaled by the simplex volume 1/N!.  The
-    samples are ``sample_chis``'s, drawn rows last.
+    The PPT fraction of the simplex, scaled by its volume 1/N!.  PPT means
+    that the two middle-split Dicke blocks have lambda_min >=
+    -DEFAULT_EIG_TOL, which decides PPT for every split (``ppt_pass_mask``).
+    A slice of m samples is an (N+1, m) block of standard exponentials, one
+    sample per column, so that the kernel reads each level as a contiguous
+    row; normalised, a column is a uniform point of the simplex.  Each
+    sample contributes ``ppt_segment_share``: the exact PPT share of the
+    segment through it that keeps chi_0..chi_{N-2} (module docstring).
     """
     n_qubits = _checked_int(n_qubits)
 
     def draw(rng, m):
-        return ppt_pass_mask(n_qubits, _sample_chis_rows_last(n_qubits, rng, m))
+        e = rng.standard_exponential(size=(n_qubits + 1, m))
+        return ppt_segment_share(n_qubits, e.T)
 
-    return _mc_estimate(n_samples, seed, float(gds_volume(n_qubits)), METHOD_INDICATOR, draw)
+    return _mc_estimate(n_samples, seed, float(gds_volume(n_qubits)), METHOD_SEGMENT, draw)
 
 
 def jacobian_n4(x1, x2, y1, y2):

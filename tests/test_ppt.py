@@ -320,6 +320,7 @@ class TestCholeskyMask:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ppt_pass_mask(n, chis)
+            ppt.ppt_segment_share(n, chis)
 
     def test_zero_pivot_raises_no_warning(self, monkeypatch):
         # 2|2 split, delta = 0 block W H W + tol I with p = (0, 1/16, 0, ...):
@@ -548,3 +549,71 @@ def test_pass_mask_commutes_with_row_permutations(n, seed, ts):
     chis = _separable_blend(n, seed, ts)
     perm = np.random.default_rng(seed).permutation(len(chis))
     np.testing.assert_array_equal(ppt_pass_mask(n, chis[perm]), ppt_pass_mask(n, chis)[perm])
+
+
+def _segment_rows(n, rng):
+    """Rows whose segments cross the PPT boundary: mixtures of product
+    states and their midpoints with uniform draws, uniform draws, and
+    product states."""
+    return np.concatenate([_mixture_rows(n, rng, 20), sample_chis(n, rng, 40), _product_rows(n)[::10]])
+
+
+class TestSegmentShare:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_equals_midpoint_rule_of_pass_mask(self, n):
+        # the part of a segment that passes is one interval, so a k-point
+        # midpoint rule of the mask along it is within 1/k of its share
+        k = 400
+        chis = _segment_rows(n, np.random.default_rng(600 + n))
+        share = ppt.ppt_segment_share(n, chis)
+        seg = chis[:, -2] + chis[:, -1]
+        top = np.outer(seg, (np.arange(k) + 0.5) / k).ravel()  # chi_N at the midpoints
+        points = np.repeat(chis, k, axis=0)
+        points[:, -2], points[:, -1] = np.repeat(seg, k) - top, top
+        midpoint = ppt_pass_mask(n, points).reshape(-1, k).mean(axis=1)
+        # a segment of length 0 has no share (the product state y = 0)
+        point = seg == 0.0
+        assert np.abs(share - midpoint)[~point].max() <= 1 / k + 1e-12
+        assert np.all(share[point] == 0.0)
+        assert n == 1 or ((share > 0) & (share < 1)).any()
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7, 10])
+    def test_scale_invariant(self, n):
+        # the rows are populations up to a positive factor, and tol scales
+        # with them.  Mixtures of one to three product states are left out:
+        # their Hankel blocks are singular but for tol, and the last pivot
+        # cancels to a relative 1e-7 at N = 7
+        rng = np.random.default_rng(700 + n)
+        e = np.concatenate([
+            rng.standard_exponential((400, n + 1)),
+            _separable_blend(n, 700 + n, np.linspace(0.0, 1.0, 200)),
+            _product_rows(n),
+        ])
+        share = ppt.ppt_segment_share(n, e)
+        for factor in (1e-3, 1e3):
+            np.testing.assert_allclose(ppt.ppt_segment_share(n, factor * e), share, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    raw=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=13, max_size=13),
+    mix=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_segment_interval_holds_the_row_verdict(n, raw, mix, seed):
+    # the row itself is the point u = 0 of its segment
+    weights = np.array(raw[: n + 1])
+    assume(weights.sum() > 0.0)
+    separable = sds_populations(random_sds_params(n, np.random.default_rng(seed)))
+    chi = ((1.0 - mix) * (weights / weights.sum()) + mix * separable.populations)[None]
+    share = ppt.ppt_segment_share(n, chi)
+    assert share.shape == (1,) and 0.0 <= share[0] <= 1.0
+    passed = bool(ppt_pass_mask(n, chi)[0])
+    alive, lo, hi = ppt._pass_interval(n, chi)
+    band = 1e-9
+    if len(alive):
+        if min(abs(lo[0]), abs(hi[0])) > band:
+            assert passed == (lo[0] < 0.0 < hi[0])
+    elif min(chi[0, -2], chi[0, -1]) > band:
+        assert not passed

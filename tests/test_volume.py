@@ -1,7 +1,7 @@
 import json
 import sys
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, hypot, prod, sqrt
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from gdscert import (
     sds_volume_formula,
     sds_volume_mc,
 )
-from gdscert import volume
+from gdscert import ppt, volume
 from gdscert.volume import (
     jacobian_general,
     jacobian_n4,
@@ -33,20 +33,6 @@ class TestSimplexSampling:
             got = sample_chis(n, np.random.default_rng(n), size)
             e = np.random.default_rng(n).exponential(size=(size, n + 1))
             np.testing.assert_array_equal(got, e / e.sum(axis=1, keepdims=True))
-
-    def test_rows_last_draw_equals_sample_chis(self):
-        # N + 1 = 1..300 terms per row covers the left fold (< 8), the eight
-        # running sums (8..128) and the halving (> 128) of the pairwise sum;
-        # whole slices at the N the estimators and CI run
-        cases = [(n, 1 + n % 7) for n in range(300)]
-        cases += [(n, volume.SLICE_ROWS) for n in (1, 4, 6, 8, 130)]
-        for n, size in cases:
-            a, b = np.random.default_rng(n), np.random.default_rng(n)
-            want = sample_chis(n, a, size)
-            got = volume._sample_chis_rows_last(n, b, size)
-            assert got.flags.f_contiguous and got.shape == (size, n + 1)
-            assert np.array_equal(got, want), (n, size)
-            assert a.bit_generator.state == b.bit_generator.state
 
     def test_component_means(self):
         rng = np.random.default_rng(0)
@@ -86,12 +72,40 @@ class TestAnalyticVolumes:
             assert sds_volume_formula(n) == derived, n
 
 
+def _rebuilt_estimate(n, chunks, seed):
+    """``ppt_gds_volume`` rebuilt by hand: chunk i of ``chunks`` samples from
+    stream i of SeedSequence(seed), drawn from that one generator in slices
+    of SLICE_ROWS columns of N + 1 exponentials, summed per slice."""
+    acc_sum = acc_sumsq = 0.0
+    for m, ss in zip(chunks, np.random.SeedSequence(seed).spawn(len(chunks))):
+        rng = np.random.default_rng(ss)
+        for start in range(0, m, volume.SLICE_ROWS):
+            e = rng.standard_exponential(size=(n + 1, min(volume.SLICE_ROWS, m - start)))
+            share = ppt.ppt_segment_share(n, e.T)
+            acc_sum += float(share.sum())
+            acc_sumsq += float((share**2).sum())
+    total = sum(chunks)
+    mean = acc_sum / total
+    scale = float(gds_volume(n))
+    return scale * mean, scale * sqrt(max(acc_sumsq / total - mean**2, 0.0) / total)
+
+
+def _indicator_estimate(n, n_samples, seed):
+    """The PPT volume as the mean of ``ppt_pass_mask``'s 0/1 verdict on
+    ``sample_chis`` draws, the estimator that the segment share replaced:
+    the reference its estimates must agree with."""
+    frac = ppt_pass_mask(n, sample_chis(n, np.random.default_rng(seed), n_samples)).mean()
+    scale = float(gds_volume(n))
+    return scale * frac, scale * sqrt(frac * (1.0 - frac) / n_samples)
+
+
 class TestPptVolume:
     def test_constant_true_indicator_recovers_simplex_volume(self, monkeypatch):
-        monkeypatch.setattr(volume, "ppt_pass_mask", lambda n, chis: np.ones(len(chis), bool))
+        monkeypatch.setattr(volume, "ppt_segment_share", lambda n, rows: np.ones(len(rows)))
         est = ppt_gds_volume(4, 50_000, seed=3)
         assert est.mean == pytest.approx(1 / 24, abs=1e-15)
         assert est.std_error == 0.0
+        assert est.method == "MC-segment"
 
     def test_n2_against_exact_integral(self):
         # PPT region of the N=2 simplex: chi0 chi2 >= chi1^2 / 4.  In
@@ -109,20 +123,23 @@ class TestPptVolume:
         assert abs(est.mean - 3808e-6) <= 4 * np.sqrt(est.std_error**2 + (2e-6) ** 2)
 
     def test_n4_estimate_pinned(self):
-        # the value the dense 2^N eigensolves gave for these arguments
-        assert ppt_gds_volume(4, 50_000, seed=20260823).mean == 0.0038541666666666663
+        # criterion 4's arguments; the 0/1 verdict gave 0.0038541666666666663
+        # with a standard error 1.9 times as large
+        est = ppt_gds_volume(4, 50_000, seed=20260823)
+        assert (est.mean, est.std_error) == (0.003762987756056262, 2.772565309749118e-05)
 
-    @pytest.mark.parametrize("n, mean, std_error", [
-        (2, 0.332255, 0.0007465528445796721),
-        (5, 0.000154, 3.5491088083254553e-06),
-        (7, 3.174603174603175e-08, 7.93587299047416e-09),
-        (8, 7.440476190476191e-10, 4.2956964945731776e-10),
-    ])
-    def test_estimates_pinned_across_chunk_sizes(self, n, mean, std_error):
-        # one chunk of DEFAULT_CHUNK samples at every N; the eigenvalue path
-        # counts the same 1848, 16 and 3 passes at N = 5, 7 and 8
+    PINNED = {
+        2: (0.3332788557978137, 0.0003221283499336956),
+        5: (0.00015570458060437344, 1.7490215925854303e-06),
+        7: (5.032273335066654e-08, 4.0687653284499585e-09),
+        8: (4.76442324112743e-10, 1.3260827957546228e-10),
+    }
+
+    @pytest.mark.parametrize("n", sorted(PINNED))
+    def test_estimates_pinned_across_chunk_sizes(self, n):
+        # one chunk of DEFAULT_CHUNK samples at every N
         est = ppt_gds_volume(n, 100_000, seed=3)
-        assert (est.mean, est.std_error) == (mean, std_error)
+        assert (est.mean, est.std_error) == self.PINNED[n]
         assert type(est.mean) is float and type(est.std_error) is float
 
     def test_reproducibility(self):
@@ -132,40 +149,34 @@ class TestPptVolume:
 
     def test_multi_chunk_estimate_pinned(self):
         # two chunks of 100_000 samples and one of 50_001, so this pins how
-        # the chunks' sums combine; the eigenvalue path counts the same 661
-        # passes
+        # the chunks' sums combine
         est = ppt_gds_volume(6, 250_001, seed=20261018)
-        assert est.mean == 3.6722075333920885e-06
-        assert est.std_error == 1.4264337048069078e-07
+        assert est.mean == 3.7513461800860884e-06
+        assert est.std_error == 6.463885127309804e-08
 
     def test_slices_continue_the_chunk_generator(self):
-        # 50_001 samples are one chunk at N = 4, drawn in slices of
-        # SLICE_ROWS that do not divide it; the estimate equals the mask
-        # count over one whole-chunk draw
+        # 50_001 samples are one chunk at N = 4, drawn from one generator in
+        # slices of SLICE_ROWS that do not divide it
         n, total, seed = 4, 50_001, 20261019
         assert total % volume.SLICE_ROWS
         est = ppt_gds_volume(n, total, seed=seed)
-        (ss,) = np.random.SeedSequence(seed).spawn(1)
-        chis = sample_chis(n, np.random.default_rng(ss), total)
-        frac = int(ppt_pass_mask(n, chis).sum()) / total
-        scale = float(gds_volume(n))
-        assert est.mean == scale * frac
-        assert est.std_error == scale * np.sqrt(max(frac - frac**2, 0.0) / total)
+        assert (est.mean, est.std_error) == _rebuilt_estimate(n, [total], seed)
 
     def test_chunk_merge_matches_single_run(self):
         # N = 3 runs in chunks of 100_000, 100_000 and 50_000 samples, each
         # drawn from its own stream of SeedSequence(seed)
         n, total, seed = 3, 250_000, 11
         full = ppt_gds_volume(n, total, seed=seed)
-        n_pass = 0
-        for m, ss in zip((100_000, 100_000, 50_000), np.random.SeedSequence(seed).spawn(3)):
-            chis = sample_chis(n, np.random.default_rng(ss), m)
-            n_pass += int(ppt_pass_mask(n, chis).sum())
-        frac = n_pass / total
-        scale = float(gds_volume(n))
-        assert full.mean == scale * frac
-        assert full.std_error == scale * np.sqrt(max(frac - frac**2, 0.0) / total)
+        assert (full.mean, full.std_error) == _rebuilt_estimate(n, [100_000, 100_000, 50_000], seed)
         assert full.n_samples == total
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_agrees_with_indicator_reference(self, n):
+        # the share has the 0/1 verdict's mean and a smaller variance
+        est = ppt_gds_volume(n, 200_000, seed=40 + n)
+        ref_mean, ref_se = _indicator_estimate(n, 200_000, 40 + n)
+        assert abs(est.mean - ref_mean) <= 4 * hypot(est.std_error, ref_se)
+        assert est.std_error < ref_se
 
 
 class TestJacobian:
