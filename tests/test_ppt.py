@@ -580,9 +580,9 @@ class TestSegmentShare:
     @pytest.mark.parametrize("n", [1, 2, 4, 7, 10])
     def test_scale_invariant(self, n):
         # the rows are populations up to a positive factor, and tol scales
-        # with them.  Mixtures of one to three product states are left out:
-        # their Hankel blocks are singular but for tol, and the last pivot
-        # cancels to a relative 1e-7 at N = 7
+        # with them.  _mixture_rows is left out: a mixture of two or three
+        # product states has Hankel blocks singular but for tol, so its tail
+        # cancels, and at N = 7 its share moves by up to 2e-11 under scaling
         rng = np.random.default_rng(700 + n)
         e = np.concatenate([
             rng.standard_exponential((400, n + 1)),
