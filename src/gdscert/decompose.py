@@ -27,7 +27,8 @@ from math import factorial
 
 import numpy as np
 
-from .states import GDSState, _checked_int, bernstein, binomials, check_tolerance, j_max
+from .states import (GDSState, _checked_int, bernstein, binomials, check_tolerance,
+                     hankel_index, j_max)
 
 VERDICT_CERTIFIED = "CertifiedSeparable"
 VERDICT_NOT_CERTIFIED = "NotCertified"
@@ -152,10 +153,9 @@ def solve_decomposition(state: GDSState) -> SDSDecomposition:
     pinned = n % 2 == 0
     h = (n + 1) // 2
     p = state.populations / binomials(n)
-    idx = np.add.outer(np.arange(h), np.arange(h)) + pinned
     scale = np.outer(binomials(h - 1), binomials(h - 1))
-    localizing = scale * p[idx + 1]
-    g, vecs = np.linalg.eigh(localizing + scale * p[idx])
+    localizing = scale * p[hankel_index(pinned + 1, h)]
+    g, vecs = np.linalg.eigh(localizing + scale * p[hankel_index(pinned, h)])
     keep = g > h * np.finfo(float).eps * np.abs(g).max()
     u = vecs[:, keep] / np.sqrt(g[keep])
     nodes = np.linalg.eigvalsh(u.T @ localizing @ u)

@@ -1,50 +1,29 @@
 """Partial-transpose positivity tests for diagonal-symmetric states.
 
 By permutation symmetry only the block sizes k = 1..floor(N/2) give
-inequivalent bipartitions; for N=4 these are the 1|3 and 2|2 splits.  For
-these states the middle split decides all of them (see below).
+inequivalent bipartitions; for N=4 these are the 1|3 and 2|2 splits.
 
 Verdicts never build a 2^N x 2^N matrix.  Write p_n = chi[n] / C(N, n).
 For the split k | N-k, rho^{T_k} is orthogonally similar to
 
     (+)_{delta=-(N-k)..k} W_delta H_delta W_delta  (+)  0
 
-with the Hankel block H_delta[a, a'] = p_{a+a'-delta} and the diagonal
-W_delta = diag sqrt(C(k, a) C(N-k, a-delta)), where a runs over
-max(0, delta)..min(k, N-k+delta) (a counts the |0> qubits of the first k,
-a - delta those of the rest).  The zero block has dimension
-2^N - (k+1)(N-k+1): it is the complement of Sym^k (x) Sym^(N-k), on which
-the state has no support.  The spectrum is therefore exact, not merely
-congruent, so a negative block eigenvalue is itself a negative eigenvalue
-of rho^{T_k}; see Tura et al., Quantum 2, 45 (2018).  The dense
-``partial_transpose`` of ``gds_density_matrix`` is kept as the test oracle.
+where a = max(0, delta) + i counts the |0> qubits of the first k (a - delta
+those of the rest), W_delta = diag sqrt(C(k, a) C(N-k, a-delta)) and
+H_delta[i, j] = p_{|delta|+i+j}.  That is one window rule: H_delta is the
+window at base |delta| of the Hankel matrix of p (``states.hankel_index``),
+and ``_dicke_blocks`` yields the weights.  The zero block, of dimension
+2^N - (k+1)(N-k+1), is the complement of Sym^k (x) Sym^(N-k), on which the
+state has no support, so the spectrum is exact: a negative block eigenvalue
+is a negative eigenvalue of rho^{T_k} (Tura et al., Quantum 2, 45 (2018)).
+The dense ``partial_transpose`` of ``gds_density_matrix`` is the test oracle.
 
-Each block is congruent (W > 0 is diagonal) to a principal submatrix of
-H0 = [p_{i+j}] or H1 = [p_{i+j+1}], which are themselves the delta = 0 and
-delta = -1 blocks of the middle split k = floor(N/2): put a = b +
-ceil(delta/2).  So PSD of those two blocks decides PPT for every split (Yu,
-PRA 94, 060101(R) (2016)); it is also the truncated Hausdorff moment
-condition, so PPT is separability here.
-
-``pt_min_eigenvalues`` returns lambda_min of every split in one pass, with
-one eigensolve per block size over one table of every split's blocks
-(``is_ppt`` reports them).  ``ppt_pass_mask`` decides "lambda_min >= -tol
-on the two middle-split blocks" at tol = DEFAULT_EIG_TOL by a Cholesky
-elimination of each + tol*I, packed straight from H0 and H1.  The
-elimination runs rows last on the lower triangle, the smaller block first:
-each entry is one contiguous vector over the batch, and a row leaves the
-batch at the first pivot that is not positive, so later columns and the
-other block run only on the rows still passing.  Every row ``is_ppt``
-passes at that tol passes the mask; the converse can fail only where a
-smaller block's lambda_min lies in a thin band below -tol, its weights
-differing from the middle split's.
-
-``ppt_segment_share`` integrates that verdict exactly along a segment that
-holds every level but the last two, and their sum.  Only the last row of
-each block moves along it, so the same elimination of every column but the
-last leaves a 2 x 2 tail whose determinant is a concave quadratic (or a
-linear function) of the position, and the part that passes is one interval
-between roots.
+A window at an even base is a principal submatrix of H0 = [p_{i+j}], at an
+odd one of H1 = [p_{i+j+1}]: the windows at bases 0 and 1, which are the
+delta = 0 and -1 blocks of the middle split k = floor(N/2).  So PSD of those
+two blocks decides PPT for every split (Yu, PRA 94, 060101(R) (2016)); it
+is also the truncated Hausdorff moment condition, so PPT is separability
+here.
 """
 
 from __future__ import annotations
@@ -59,9 +38,10 @@ import numpy as np
 # gds_density_matrix is re-exported: the dense oracle is reached through this
 # module, and the traced benchmark run (perfbench/tracing.py) patches it here.
 from .states import gds_density_matrix  # noqa: F401
-from .states import GDSState, _checked_int, binomials, check_tolerance
+from .states import GDSState, _checked_int, binomials, check_tolerance, hankel_index
 
 DEFAULT_EIG_TOL = 1e-10
+_STACK_ENTRIES = 1 << 18  # matrix entries per eigensolve stack: 2 MiB of floats
 
 
 @dataclass(frozen=True)
@@ -77,13 +57,9 @@ class PptReport:
         return all(v >= -self.tolerance for v in self.min_eigenvalues.values())
 
     def to_json_dict(self) -> dict:
-        return {
-            "bipartitions": [
-                {"k": int(k), "min_eig": float(v)}
-                for k, v in sorted(self.min_eigenvalues.items())
-            ],
-            "ppt": self.is_ppt,
-        }
+        pairs = sorted(self.min_eigenvalues.items())
+        return {"bipartitions": [{"k": int(k), "min_eig": float(v)} for k, v in pairs],
+                "ppt": self.is_ppt}
 
 
 def partial_transpose(rho: np.ndarray, k: int, n_qubits: int) -> np.ndarray:
@@ -95,40 +71,36 @@ def partial_transpose(rho: np.ndarray, k: int, n_qubits: int) -> np.ndarray:
         raise ValueError(f"k must be in 1..{n_qubits - 1}, got {k}")
     da = 1 << k
     db = dim // da
-    return (
-        rho.reshape(da, db, da, db).swapaxes(0, 2).reshape(dim, dim)
-    )
+    return rho.reshape(da, db, da, db).swapaxes(0, 2).reshape(dim, dim)
 
 
 def _dicke_blocks(n_qubits: int, k: int):
-    """Yield ``(delta, idx, w)`` for delta = -(N-k)..k: the Dicke block W H W of
-    the split k | N-k (module docstring) is ``p[idx] * w``, with the square
-    Hankel index idx[a, a'] = a + a' - delta and the weights w = outer(W, W)."""
+    """Yield ``(delta, w)`` for delta = -(N-k)..k: the Dicke block of the
+    split k | N-k is ``p[hankel_index(|delta|, len(w))] * outer(w, w)``, with
+    w the diagonal of W_delta (module docstring)."""
     rest = n_qubits - k
     for delta in range(-rest, k + 1):
-        a = np.arange(max(0, delta), min(k, rest + delta) + 1)
-        w = np.sqrt([float(comb(k, i) * comb(rest, i - delta)) for i in a])
-        yield delta, a[:, None] + a[None, :] - delta, np.outer(w, w)
+        a = range(max(0, delta), min(k, rest + delta) + 1)
+        yield delta, np.sqrt([float(comb(k, i) * comb(rest, i - delta)) for i in a])
 
 
 @lru_cache(maxsize=None)
-def _block_tables(n_qubits: int) -> tuple:
-    """Index and weight tables of every Dicke block of every split k = 1..N//2.
+def _window_tables(n_qubits: int) -> tuple:
+    """Window bases and weights of every Dicke block of every split k = 1..N//2.
 
-    One ``(idx, w, ks, starts)`` per block size s: ``idx`` and ``w`` are
-    (c, s, s) for the c blocks of that size, ordered by split, and block
-    entries are ``p[idx] * w``; ``ks`` holds the columns k - 1 of the splits
-    with blocks of that size and ``starts`` the index of each one's first
-    block.  The arrays are shared between callers and therefore read-only.
+    One ``(bases, w, ks, starts)`` per block size s: the (c,) bases |delta|
+    and (c, s) weights of the c blocks of that size, ordered by split; ``ks``
+    holds the columns k - 1 of their splits and ``starts`` the index of each
+    one's first block.  O(N^3) numbers, shared between callers, so read-only.
     """
     by_size = defaultdict(list)
     for k in range(1, n_qubits // 2 + 1):
-        for _, idx, w in _dicke_blocks(n_qubits, k):
-            by_size[len(idx)].append((idx, w, k - 1))
+        for delta, w in _dicke_blocks(n_qubits, k):
+            by_size[len(w)].append((abs(delta), w, k - 1))
     tables = []
     for size in sorted(by_size):
-        idx, w, splits = zip(*by_size[size])
-        table = (np.array(idx), np.array(w), *np.unique(splits, return_index=True))
+        bases, w, splits = zip(*by_size[size])
+        table = (np.array(bases), np.array(w), *np.unique(splits, return_index=True))
         for t in table:
             t.setflags(write=False)
         tables.append(table)
@@ -140,10 +112,8 @@ def _population_rows(n_qubits, chis) -> tuple:
     n_qubits = _checked_int(n_qubits)
     chis = np.asarray(chis, dtype=float)
     if chis.ndim != 2 or chis.shape[1] != n_qubits + 1:
-        raise ValueError(
-            f"expected an (m, {n_qubits + 1}) array of population rows for "
-            f"N={n_qubits}, got shape {chis.shape}"
-        )
+        raise ValueError(f"expected an (m, {n_qubits + 1}) array of population rows for "
+                         f"N={n_qubits}, got shape {chis.shape}")
     return n_qubits, chis
 
 
@@ -152,14 +122,27 @@ def pt_min_eigenvalues(n_qubits: int, chis: np.ndarray) -> np.ndarray:
 
     Returns (m, floor(N/2)): column k - 1 is the split k | N-k.  Exact up to
     rounding: the minimum over the Dicke blocks, and over the zero block
-    where (k+1)(N-k+1) < 2^N, which is every split but N = 2's.
+    where (k+1)(N-k+1) < 2^N, which is every split but N = 2's.  A row with
+    a non-finite entry raises ValueError.  eigvalsh solves each matrix of a
+    stack alone, so a row's result does not depend on the batch it comes in.
     """
     n_qubits, chis = _population_rows(n_qubits, chis)
+    if not np.isfinite(chis).all():
+        raise ValueError("population rows must be finite")
     p = chis / binomials(n_qubits)
     mins = np.full((len(p), n_qubits // 2), np.inf)
-    for idx, w, ks, starts in _block_tables(n_qubits):
-        low = np.linalg.eigvalsh(p[:, idx] * w)[..., 0]
-        mins[:, ks] = np.minimum(mins[:, ks], np.minimum.reduceat(low, starts, axis=1))
+    for bases, w, ks, starts in _window_tables(n_qubits):
+        count, size = w.shape
+        low = np.empty(len(p) * count)  # one per (row, block) pair, row-major
+        step = max(1, _STACK_ENTRIES // size**2)  # matrices per eigensolve stack
+        for start in range(0, len(low), step):
+            r, b = np.divmod(np.arange(start, min(start + step, len(low))), count)
+            # the window of row r at its base, as one index into flat p
+            stack = p.take(hankel_index(r * (n_qubits + 1) + bases[b], size))
+            stack *= w[b, :, None] * w[b, None, :]
+            low[start:start + len(r)] = np.linalg.eigvalsh(stack)[:, 0]
+        low = np.minimum.reduceat(low.reshape(len(p), count), starts, axis=1)
+        mins[:, ks] = np.minimum(mins[:, ks], low)
     # the zero block last, so that a block minimum of -0.0 reads 0.0
     return np.minimum(mins, 0.0) if n_qubits > 2 else mins
 
@@ -168,18 +151,20 @@ def pt_min_eigenvalues(n_qubits: int, chis: np.ndarray) -> np.ndarray:
 def _mask_tables(n_qubits: int) -> tuple:
     """The two middle-split blocks as packed lower triangles, smaller first.
 
-    One ``(idx, w, diag)`` per block: W H0 W (delta = 0) and W H1 W
-    (delta = -1) of the split k = floor(N/2), as ``_dicke_blocks`` yields them.
-    ``p[idx] * w`` stacks the entries a[j:, j] of column j = 0..s-1 of the
-    block, one row per entry, and ``diag`` indexes the s diagonal entries.
-    At odd N the sizes are equal and delta = 0 comes first.  The arrays are
-    shared between callers and therefore read-only.
+    One ``(idx, w, diag)`` per block: W H0 W and W H1 W, the windows at bases
+    0 and 1 (delta = 0 and -1 of the split k = floor(N/2)), weighted as
+    ``_dicke_blocks`` yields.  ``p[idx] * w`` stacks the entries a[j:, j] of
+    column j = 0..s-1, one row per entry, and ``diag`` indexes the s diagonal
+    entries.  At odd N the sizes are equal and delta = 0 comes first.  The
+    arrays are shared between callers and therefore read-only.
     """
-    blocks = {delta: (idx, w) for delta, idx, w in _dicke_blocks(n_qubits, n_qubits // 2)}
+    weights = dict(_dicke_blocks(n_qubits, n_qubits // 2))
     tables = []
-    for idx, w in sorted([blocks[0], blocks[-1]], key=lambda block: len(block[0])):
-        cols, rows = np.triu_indices(len(idx))  # the lower triangle, by column
-        packed = (idx[rows, cols], w[rows, cols][:, None], np.flatnonzero(rows == cols))
+    for delta in sorted((0, -1), key=lambda delta: len(weights[delta])):
+        w = weights[delta]
+        cols, rows = np.triu_indices(len(w))  # the lower triangle, by column
+        idx = hankel_index(-delta, len(w))[rows, cols]
+        packed = (idx, (w[rows] * w[cols])[:, None], np.flatnonzero(rows == cols))
         for t in packed:
             t.setflags(write=False)
         tables.append(packed)
@@ -254,7 +239,10 @@ def ppt_pass_mask(n_qubits: int, chis: np.ndarray) -> np.ndarray:
     floating point that one's two triangles differ in the last bits, so the
     pivots may too, and the test checks that the verdicts agree.  Rows are
     independent, so a row's verdict does not depend on the batch it comes
-    in, and the caller sizes the batch.
+    in, and the caller sizes the batch.  Every row ``is_ppt`` passes at tol
+    passes the mask; the converse can fail only where a smaller block's
+    lambda_min lies in a thin band below -tol, its weights differing from
+    the middle split's.
     """
     n_qubits, chis = _population_rows(n_qubits, chis)
     m = len(chis)
@@ -383,7 +371,5 @@ def ppt_segment_share(n_qubits: int, rows: np.ndarray) -> np.ndarray:
 def is_ppt(state: GDSState, tol: float = DEFAULT_EIG_TOL) -> PptReport:
     """Eigenvalue test of every inequivalent partial transpose of a GDS state."""
     check_tolerance(tol)
-    n = state.n_qubits
-    row = pt_min_eigenvalues(n, state.populations[None, :])[0]
-    minima = dict(zip(range(1, n // 2 + 1), row.tolist()))
-    return PptReport(n_qubits=n, tolerance=tol, min_eigenvalues=minima)
+    row = pt_min_eigenvalues(state.n_qubits, state.populations[None, :])[0]
+    return PptReport(state.n_qubits, tol, dict(enumerate(row.tolist(), start=1)))

@@ -154,6 +154,15 @@ def bernstein(n_qubits: int, ys) -> np.ndarray:
     return binomials(n_qubits)[:, None] * ys**n0s * (1.0 - ys) ** (n_qubits - n0s)
 
 
+def hankel_index(bases, size: int) -> np.ndarray:
+    """Index base + i + j of the size x size Hankel windows at ``bases``, one per
+    base on leading axes: ``p[hankel_index(b, s)]`` is the window [p_{b+i+j}].
+    Bases 0 and 1 give the truncated Hausdorff pair H0 and H1; every Dicke block
+    of a partial transpose, and the pencil of ``certify``, is a weighted window."""
+    i = np.arange(size)
+    return np.asarray(bases)[..., None, None] + i[:, None] + i
+
+
 def _check_dense_capacity(n_qubits: int):
     if _checked_int(n_qubits) > MAX_DENSE_QUBITS:
         raise CapacityError(

@@ -161,7 +161,8 @@ def test_out_file_matches_stdout(runner, tmp_path, monkeypatch, args):
     assert not (tmp_path / "rel").exists()
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+# N = 40: the one-call sweep and a lone state, over block sizes 1..21
+@pytest.mark.parametrize("n", [*range(1, 11), 40])
 def test_state_file_is_decided_like_its_sweep_point(runner, tmp_path, n):
     spec = "1e-3:10:3:geom"
     sweep = ["--n", str(n), "--superrad-tau", spec]

@@ -28,8 +28,8 @@ from gdscert.decompose import (
     VERDICT_CERTIFIED,
     _assemble,
 )
-from gdscert.ppt import _block_tables
-from gdscert.states import bernstein, binomials
+from gdscert.ppt import _dicke_blocks
+from gdscert.states import bernstein, binomials, hankel_index
 from gdscert.volume import ppt_pass_mask, sample_chis
 
 
@@ -344,10 +344,12 @@ def test_certify_matches_ppt(n, raw, mix, seed):
     separable = sds_populations(random_sds_params(n, np.random.default_rng(seed)))
     chi = (1.0 - mix) * (weights / weights.sum()) + mix * separable.populations
     result = certify(GDSState(n, chi))
-    # smallest eigenvalue over the Dicke blocks of every rho^{T_k}; the zero
-    # block of rho^{T_k} is left out, it pins the minimum of a PPT state at 0
+    # smallest eigenvalue over the Dicke blocks of every rho^{T_k}, each the
+    # Hankel window at base |delta| weighted by W; the zero block of
+    # rho^{T_k} is left out, it pins the minimum of a PPT state at 0
     p = chi / binomials(n)
-    margin = min(np.linalg.eigvalsh(p[idx] * w)[..., 0].min() for idx, w, _, _ in _block_tables(n))
+    margin = min(np.linalg.eigvalsh(p[hankel_index(abs(delta), len(w))] * np.outer(w, w))[0]
+                 for k in range(1, n // 2 + 1) for delta, w in _dicke_blocks(n, k))
     if abs(margin) > 1e-8:
         assert result.certified == bool(ppt_pass_mask(n, chi[None])[0])
     if result.certified:

@@ -17,10 +17,11 @@ from gdscert import (
     partial_transpose,
     random_sds_params,
     sds_populations,
+    trajectory,
 )
 from gdscert import ppt, volume
 from gdscert.ppt import DEFAULT_EIG_TOL, pt_min_eigenvalues
-from gdscert.states import bernstein, binomials, is_hermitian
+from gdscert.states import bernstein, binomials, hankel_index, is_hermitian
 from gdscert.volume import ppt_pass_mask, sample_chis
 
 
@@ -207,13 +208,40 @@ class TestDickeBlocks:
                 spectrum = np.sort(np.concatenate(blocks + [zeros]))
                 np.testing.assert_allclose(spectrum, dense[k], rtol=0, atol=1e-12)
 
-    def test_min_eigenvalues_batch_matches_rows(self):
+    def test_min_eigenvalues_batch_matches_rows(self, monkeypatch):
+        # at N = 40 the entry cap splits the 100 rows of block sizes 7..19
+        # into several stacks; a cap of 64 entries leaves one or two matrices
+        # per stack, so stacks split one row's blocks and straddle rows
         rng = np.random.default_rng(7)
-        chis = sample_chis(6, rng, 50)
-        batch = pt_min_eigenvalues(6, chis)
-        assert batch.shape == (50, 3)
-        rows = [pt_min_eigenvalues(6, chi[None])[0] for chi in chis]
-        np.testing.assert_array_equal(batch, rows)
+        for n, m, cap in [(6, 50, None), (40, 100, None), (12, 30, 64)]:
+            chis = sample_chis(n, rng, m)
+            rows = [pt_min_eigenvalues(n, chi[None])[0] for chi in chis]
+            if cap:
+                monkeypatch.setattr(ppt, "_STACK_ENTRIES", cap)
+            batch = pt_min_eigenvalues(n, chis)
+            monkeypatch.undo()
+            assert batch.shape == (m, n // 2)
+            np.testing.assert_array_equal(batch, rows)
+        # entries of the largest one-row stack at N = 40, times 100 rows
+        assert max(w.size * w.shape[1] for _, w, _, _ in ppt._window_tables(40)) * 100 > 2**18
+
+    def test_min_eigenvalues_keep_no_n4_table(self):
+        # only the O(N^3) window bases and weights stay cached, and the entry
+        # cap bounds each eigensolve stack: at N = 100 an index and a weight
+        # for every block entry take 35 MiB, and one stack of 50 rows of
+        # every block over 60 MiB
+        rows = trajectory(100, np.geomspace(1e-3, 10, 50)).populations_table()
+        for fn in vars(ppt).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+        tracemalloc.start()
+        try:
+            pt_min_eigenvalues(100, rows)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * 2**20
+        assert peak < 16 * 2**20
 
     def test_one_qubit_has_no_split(self):
         chis = sample_chis(1, np.random.default_rng(8), 5)
@@ -232,8 +260,13 @@ class TestDickeBlocks:
 
 @pytest.mark.parametrize("n", range(1, 41))
 def test_both_tables_come_from_the_dicke_blocks(n):
+    # the mask and eigensolve tables read windows of one Hankel index rule;
+    # both give the Dicke blocks of the reference above, bit for bit (the
+    # populations are distinct, so equal blocks mean equal indices too)
     k = n // 2
-    blocks = {delta: (idx, w) for delta, idx, w in ppt._dicke_blocks(n, k)}
+    chi = np.random.default_rng(n).dirichlet(np.ones(n + 1))
+    p = chi / binomials(n)
+    blocks = dict(zip(range(k - n, k + 1), dicke_blocks(chi, k)))
     # smaller block first; at odd N the sizes are equal and delta = 0 leads
     order = (0, -1) if n % 2 else (-1, 0)
     for delta, (idx, w, diag) in zip(order, ppt._mask_tables(n), strict=True):
@@ -244,21 +277,21 @@ def test_both_tables_come_from_the_dicke_blocks(n):
         for j, start in enumerate(diag):
             lower_idx[j:, j] = idx[start:start + size - j]
             lower_w[j:, j] = w[start:start + size - j, 0]
-        np.testing.assert_array_equal(lower_idx, np.tril(blocks[delta][0]))
-        np.testing.assert_array_equal(lower_w, np.tril(blocks[delta][1]))
+        np.testing.assert_array_equal(lower_idx, np.tril(hankel_index(-delta, size)))
+        np.testing.assert_array_equal(p[lower_idx] * lower_w, np.tril(blocks[delta]))
     if n < 2:
         return  # k = 0 is no split, and the eigensolve table has none
     for delta in order:
-        block_idx, block_w = blocks[delta]
-        for idx, w, ks, starts in ppt._block_tables(n):
-            if idx.shape[1] == len(block_idx) and k - 1 in ks:
+        block = blocks[delta]
+        for bases, w, ks, starts in ppt._window_tables(n):
+            if w.shape[1] == len(block) and k - 1 in ks:
                 pos = list(ks).index(k - 1)
-                split = range(starts[pos], starts[pos + 1] if pos + 1 < len(ks) else len(idx))
-                assert any(np.array_equal(idx[i], block_idx) and np.array_equal(w[i], block_w)
-                           for i in split)
+                split = range(starts[pos], starts[pos + 1] if pos + 1 < len(ks) else len(w))
+                assert any(np.array_equal(p[hankel_index(bases[i], len(block))]
+                                          * np.outer(w[i], w[i]), block) for i in split)
                 break
         else:
-            pytest.fail(f"no {len(block_idx)}-row table holds split {k}")
+            pytest.fail(f"no {len(block)}-row table holds split {k}")
 
 
 @settings(max_examples=200, deadline=None)

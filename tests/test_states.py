@@ -297,6 +297,9 @@ def _one_rule_cases():
         case(sds_density_matrix_phase_avg, (params, phases), "n_phases", phases)
     for shape in ((5,), (3, 4)):
         case(pt_min_eigenvalues, (4, np.full(shape, 0.2)), "shape", shape, r"\(m, 5\)")
+    for bad in (np.nan, np.inf):
+        # NaN would fail inside LAPACK, and inf give NaN minima that read as "not PPT"
+        case(pt_min_eigenvalues, (4, [[0.2, 0.2, bad, 0.2, 0.2]]), "entry", bad, "must be finite")
     return cases
 
 
