@@ -107,13 +107,16 @@ def _window_tables(n_qubits: int) -> tuple:
     return tuple(tables)
 
 
-def _population_rows(n_qubits, chis) -> tuple:
-    """N and ``chis`` as a checked int and an (m, N+1) float batch of rows."""
+def _population_rows(n_qubits, chis, finite: bool = True) -> tuple:
+    """N and ``chis`` as a checked int and an (m, N+1) float batch of rows,
+    each entry finite unless ``finite`` is False."""
     n_qubits = _checked_int(n_qubits)
     chis = np.asarray(chis, dtype=float)
     if chis.ndim != 2 or chis.shape[1] != n_qubits + 1:
         raise ValueError(f"expected an (m, {n_qubits + 1}) array of population rows for "
                          f"N={n_qubits}, got shape {chis.shape}")
+    if finite and not np.isfinite(chis).all():
+        raise ValueError("population rows must be finite")
     return n_qubits, chis
 
 
@@ -127,8 +130,6 @@ def pt_min_eigenvalues(n_qubits: int, chis: np.ndarray) -> np.ndarray:
     stack alone, so a row's result does not depend on the batch it comes in.
     """
     n_qubits, chis = _population_rows(n_qubits, chis)
-    if not np.isfinite(chis).all():
-        raise ValueError("population rows must be finite")
     p = chis / binomials(n_qubits)
     mins = np.full((len(p), n_qubits // 2), np.inf)
     for bases, w, ks, starts in _window_tables(n_qubits):
@@ -148,33 +149,43 @@ def pt_min_eigenvalues(n_qubits: int, chis: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _mask_tables(n_qubits: int) -> tuple:
-    """The two middle-split blocks as packed lower triangles, smaller first.
+def _segment_tables(n_qubits: int) -> tuple:
+    """The two middle-split blocks as packed lower triangles, smaller first,
+    and the slopes of each block's last row along the segment.
 
-    One ``(idx, w, diag)`` per block: W H0 W and W H1 W, the windows at bases
-    0 and 1 (delta = 0 and -1 of the split k = floor(N/2)), weighted as
-    ``_dicke_blocks`` yields.  ``p[idx] * w`` stacks the entries a[j:, j] of
-    column j = 0..s-1, one row per entry, and ``diag`` indexes the s diagonal
-    entries.  At odd N the sizes are equal and delta = 0 comes first.  The
-    arrays are shared between callers and therefore read-only.
+    One ``(idx, w, diag, dq, dc)`` per block: W H0 W and W H1 W, the windows
+    at bases 0 and 1 (delta = 0 and -1 of the split k = floor(N/2)), with
+    the ``_dicke_blocks`` weights divided by the binomials.  ``e[idx] * w``
+    stacks the entries a[j:, j] of column j = 0..s-1 of the block of the
+    unnormalised populations e, one row per entry, and ``diag`` indexes the
+    s diagonal entries.  At odd N the sizes are equal and delta = 0 comes
+    first.  Moving u from e_{N-1} to e_N changes only the last row: p_N sits
+    in the corner (s-1, s-1) and p_{N-1} next to it, or in the corner of the
+    block without p_N.  ``dq`` and ``dc`` are d/du of the entries (s-1, s-2)
+    and (s-1, s-1); ``dq`` is 0 for a 1 x 1 block.  The arrays are shared
+    between callers and therefore read-only.
     """
     weights = dict(_dicke_blocks(n_qubits, n_qubits // 2))
+    binom = binomials(n_qubits)
     tables = []
     for delta in sorted((0, -1), key=lambda delta: len(weights[delta])):
         w = weights[delta]
         cols, rows = np.triu_indices(len(w))  # the lower triangle, by column
         idx = hankel_index(-delta, len(w))[rows, cols]
-        packed = (idx, (w[rows] * w[cols])[:, None], np.flatnonzero(rows == cols))
-        for t in packed:
+        folded = (w[rows] * w[cols])[:, None] / binom[idx][:, None]
+        diag = np.flatnonzero(rows == cols)
+        for t in (idx, folded, diag):
             t.setflags(write=False)
-        tables.append(packed)
+        slope = folded[:, 0] * ((idx == n_qubits) * 1.0 - (idx == n_qubits - 1))
+        dq = slope[-2] if len(w) > 1 else 0.0
+        tables.append((idx, folded, diag, float(dq), float(slope[-1])))
     return tuple(tables)
 
 
 def _packed(p, idx, w, diag, tol) -> np.ndarray:
     """The block of the rows-last batch ``p`` that a table of
-    ``_mask_tables`` or ``_segment_tables`` packs as ``(idx, w, diag)``, plus
-    ``tol`` (a scalar or one value per batch row) on its diagonal."""
+    ``_segment_tables`` packs as ``(idx, w, diag)``, plus ``tol`` (one value
+    per batch row) on its diagonal."""
     a = p[idx]
     a *= w
     for d in diag:
@@ -182,22 +193,22 @@ def _packed(p, idx, w, diag, tol) -> np.ndarray:
     return a
 
 
-def _eliminate(a: np.ndarray, size: int, last: int) -> tuple:
-    """Check the pivots of columns 0..last of a batch of packed size x size
-    lower triangles, eliminating the columns before ``last``, rows last;
-    return ``(rest, keep)``.
+def _eliminate(a: np.ndarray, size: int) -> tuple:
+    """Check the pivots of every column but the last of a batch of packed
+    size x size lower triangles, eliminating the columns before the trailing
+    2 x 2 block, rows last; return ``(rest, keep)``.
 
     ``a`` packs the lower triangle by column, one entry per row and the batch
-    on the last axis (``_mask_tables``).  Column j updates
+    on the last axis (``_segment_tables``).  Column j updates
     a[i, k] -= (a[i, j] / a[j, j]) * a[k, j] for i >= k > j, every entry one
     contiguous vector over the batch.  A batch row whose pivot is not
     positive leaves at that pivot, so later columns run only on the rows
-    still passing.  ``rest`` packs columns last..size-1 of the Schur
-    complement of the rows still passing, and ``keep`` indexes those rows in
-    the batch ``a`` came in.
+    still passing.  ``rest`` packs the trailing 2 x 2 Schur complement (the
+    1 x 1 block itself where size = 1) of the rows still passing, and
+    ``keep`` indexes those rows in the batch ``a`` came in.
     """
     keep = np.arange(a.shape[1])
-    for j in range(last + 1):
+    for j in range(size - 1):
         # a packs columns j..s-1: a[0] is the pivot a[j, j], a[1:t + 1]
         # the column below it and a[t + 1:] the trailing triangle
         passed = a[0] > 0
@@ -208,7 +219,7 @@ def _eliminate(a: np.ndarray, size: int, last: int) -> tuple:
             a = a.take(kept, axis=1)
             if not n_passed:
                 break
-        if j == last:
+        if j == size - 2:
             break
         t = size - 1 - j  # rows below the pivot
         col = a[1:t + 1] / a[0]
@@ -221,94 +232,30 @@ def _eliminate(a: np.ndarray, size: int, last: int) -> tuple:
     return a, keep
 
 
-def ppt_pass_mask(n_qubits: int, chis: np.ndarray) -> np.ndarray:
-    """Batched PPT verdict (at ``DEFAULT_EIG_TOL``) of population rows.
+def _pass_interval(n_qubits: int, e: np.ndarray, lo, hi) -> tuple:
+    """``(alive, lo, hi)``: the rows of ``e`` that may pass on their
+    segment, and for each one the open interval (lo, hi) of u, within the
+    given ``lo`` and ``hi``, on which the row with e_{N-1} - u and e_N + u
+    passes; it is empty where hi <= lo.
 
-    The contract is exactly "lambda_min >= -tol on the two middle-split
-    blocks": delta = 0 and delta = -1 of k = floor(N/2), that is W H0 W and
-    W H1 W, which decide PPT for every split (module docstring).  No
-    eigenvalue is computed: lambda_min(B) >= -tol iff B + tol*I is positive
-    definite (up to the measure-zero case of equality), i.e. iff every pivot
-    of its Cholesky elimination is positive.
-
-    ``chis`` is an (m, N+1) batch; the result is a bool (m,) mask.  The
-    entries are (chi_n / C(N, n)) * (w_i w_k), plus tol on the diagonal, and
-    ``_eliminate`` runs every column of the smaller block, then of the larger
-    one on the rows still passing.  In exact arithmetic this is the square
-    elimination that ``tests/test_ppt.py`` keeps as the reference; in
-    floating point that one's two triangles differ in the last bits, so the
-    pivots may too, and the test checks that the verdicts agree.  Rows are
-    independent, so a row's verdict does not depend on the batch it comes
-    in, and the caller sizes the batch.  Every row ``is_ppt`` passes at tol
-    passes the mask; the converse can fail only where a smaller block's
-    lambda_min lies in a thin band below -tol, its weights differing from
-    the middle split's.
+    ``e`` is an (m, N+1) float batch of nonnegative populations up to a
+    positive factor per row, checked by the caller, and ``lo`` and ``hi``
+    are (m,) float arrays, which may change in place: (-e_N, e_{N-1}) for
+    the segment, and (-inf, inf) for the row alone.  Moving u keeps the row
+    sum S, and tol*S on the diagonal is tol on the normalised row.  Every
+    pivot but the last of each block is independent of u
+    (``_segment_tables``), so ``_eliminate`` checks every pivot but the last
+    and leaves the tail [[P, q0 + dq u], [., c0 + dc u]] with P > 0.  It is
+    positive definite iff f(u) = P (c0 + dc u) - (q0 + dq u)^2 > 0: on one
+    side of a root where dq = 0 (the block whose corner is p_{N-1}), and
+    between the roots of a concave quadratic otherwise.  A row leaves the
+    batch at a failed pivot, and before the second block once its interval
+    is empty.
     """
-    n_qubits, chis = _population_rows(n_qubits, chis)
-    m = len(chis)
-    # rows on the last axis: every step below is a contiguous vector op
-    p = np.empty((n_qubits + 1, m))
-    np.divide(chis.T, binomials(n_qubits)[:, None], out=p)
-    rows = np.arange(m)  # the rows of chis still passing
-    for idx, w, diag in _mask_tables(n_qubits):
-        a = _packed(p if len(rows) == m else p.take(rows, axis=1), idx, w, diag, DEFAULT_EIG_TOL)
-        _, keep = _eliminate(a, len(diag), len(diag) - 1)
-        rows = rows[keep]
-        if not len(rows):
-            break
-    mask = np.zeros(m, dtype=bool)
-    mask[rows] = True
-    return mask
-
-
-@lru_cache(maxsize=None)
-def _segment_tables(n_qubits: int) -> tuple:
-    """``_mask_tables`` with the binomials folded into the weights, and the
-    slopes of the block's last row along the segment.
-
-    One ``(idx, w, diag, dq, dc)`` per block: ``e[idx] * w`` packs W H W of
-    the unnormalised populations e (chi_n = e_n / sum(e)), that is
-    e_n / C(N, n) times the Dicke weights.  Moving u from e_{N-1} to e_N
-    changes only the last row: p_N sits in the corner (s-1, s-1) and p_{N-1}
-    next to it, or in the corner of the block without p_N.  ``dq`` and ``dc``
-    are d/du of the entries (s-1, s-2) and (s-1, s-1); ``dq`` is 0 for a
-    1 x 1 block.  The arrays are shared between callers and therefore
-    read-only.
-    """
-    binom = binomials(n_qubits)
-    tables = []
-    for idx, w, diag in _mask_tables(n_qubits):
-        folded = w / binom[idx][:, None]
-        folded.setflags(write=False)
-        slope = folded[:, 0] * ((idx == n_qubits) * 1.0 - (idx == n_qubits - 1))
-        dq = slope[-2] if len(diag) > 1 else 0.0
-        tables.append((idx, folded, diag, float(dq), float(slope[-1])))
-    return tuple(tables)
-
-
-def _pass_interval(n_qubits: int, rows: np.ndarray) -> tuple:
-    """``(alive, lo, hi)``: the rows of ``rows`` that may pass
-    ``ppt_pass_mask`` on their segment, and for each one the open interval
-    (lo, hi) of u in [-e_N, e_{N-1}] on which the row with e_{N-1} - u and
-    e_N + u passes; it is empty where hi <= lo.
-
-    ``rows`` is an (m, N+1) batch of nonnegative populations up to a
-    positive factor per row, e.  Moving u keeps the row sum S, and tol*S on
-    the diagonal is tol on the normalised row.  Every pivot but the last of
-    each block is independent of u (``_segment_tables``), so ``_eliminate``
-    checks every pivot but the last and leaves the tail [[P, q0 + dq u],
-    [., c0 + dc u]] with P > 0.  It is positive definite iff
-    f(u) = P (c0 + dc u) - (q0 + dq u)^2 > 0: on one side of a root where
-    dq = 0 (the block whose corner is p_{N-1}), and between the roots of a
-    concave quadratic otherwise.  A row leaves the batch at a failed pivot,
-    and before the second block once its interval is empty.
-    """
-    n_qubits, e = _population_rows(n_qubits, rows)
-    p = np.ascontiguousarray(e.T)  # rows last, as in ppt_pass_mask
+    p = np.ascontiguousarray(e.T)  # rows last: every step is a contiguous vector op
     m = p.shape[1]
     tol = p.sum(axis=0)
     tol *= DEFAULT_EIG_TOL
-    lo, hi = -p[n_qubits], p[n_qubits - 1].copy()
     alive = np.arange(m)
     for block, (idx, w, diag, dq, dc) in enumerate(_segment_tables(n_qubits)):
         if block:
@@ -327,7 +274,7 @@ def _narrow(a, size, dq, dc, lo, hi) -> tuple:
     the batch rows whose pivots before the tail pass and their interval
     narrowed to where the tail is positive definite; ``lo`` and ``hi`` may
     change in place."""
-    a, keep = _eliminate(a, size, size - 2)
+    a, keep = _eliminate(a, size)
     if len(keep) < len(lo):
         lo, hi = lo[keep], hi[keep]
         if not len(keep):
@@ -349,6 +296,39 @@ def _narrow(a, size, dq, dc, lo, hi) -> tuple:
     return keep, lo, hi
 
 
+def ppt_pass_mask(n_qubits: int, chis: np.ndarray) -> np.ndarray:
+    """Batched PPT verdict (at ``DEFAULT_EIG_TOL`` times the row sum) of
+    population rows.
+
+    The contract is exactly "lambda_min >= -tol on the two middle-split
+    blocks": delta = 0 and delta = -1 of k = floor(N/2), that is W H0 W and
+    W H1 W, which decide PPT for every split (module docstring).  No
+    eigenvalue is computed: lambda_min(B) >= -tol iff B + tol*I is positive
+    definite (up to the measure-zero case of equality), i.e. iff every pivot
+    of its Cholesky elimination is positive.
+
+    ``chis`` is an (m, N+1) batch of finite populations up to a positive
+    factor per row; the result is a bool (m,) mask, and a row with a
+    non-finite entry raises ValueError.  A row is the point u = 0 of its own
+    segment, so it passes iff 0 lies in its pass interval
+    (``_pass_interval``) with the segment's ends left out.  In exact
+    arithmetic this is the square elimination that ``tests/test_ppt.py``
+    keeps as the reference; in floating point the pivots may differ in the
+    last bits, and the test checks that the verdicts agree.  Rows are
+    independent, so a row's verdict does not depend on the batch it comes
+    in, and the caller sizes the batch.  Every row ``is_ppt`` passes at tol
+    passes the mask; the converse can fail only where a smaller block's
+    lambda_min lies in a thin band below -tol, its weights differing from
+    the middle split's.
+    """
+    n_qubits, chis = _population_rows(n_qubits, chis)
+    m = len(chis)
+    alive, lo, hi = _pass_interval(n_qubits, chis, np.full(m, -np.inf), np.full(m, np.inf))
+    mask = np.zeros(m, dtype=bool)
+    mask[alive] = (lo < 0.0) & (hi > 0.0)
+    return mask
+
+
 def ppt_segment_share(n_qubits: int, rows: np.ndarray) -> np.ndarray:
     """The share of each row's segment that ``ppt_pass_mask`` passes.
 
@@ -361,8 +341,8 @@ def ppt_segment_share(n_qubits: int, rows: np.ndarray) -> np.ndarray:
     mean share is the PPT fraction, with a smaller variance than the mean of
     the mask.
     """
-    alive, lo, hi = _pass_interval(n_qubits, rows)
-    e = np.asarray(rows, dtype=float)
+    n_qubits, e = _population_rows(n_qubits, rows, finite=False)
+    alive, lo, hi = _pass_interval(n_qubits, e, -e[:, -1], e[:, -2].copy())
     share = np.zeros(len(e))
     share[alive] = np.maximum(hi - lo, 0.0) / (e[alive, -2] + e[alive, -1])
     return share

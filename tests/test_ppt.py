@@ -42,9 +42,15 @@ def dicke_blocks(chi, k):
     blocks = []
     for delta in range(k - n, k + 1):
         a = np.arange(max(0, delta), min(k, n - k + delta) + 1)
-        w = np.sqrt([float(comb(k, i) * comb(n - k, i - delta)) for i in a])
+        w = dicke_weights(n, k, delta)
         blocks.append(p[a[:, None] + a - delta] * np.outer(w, w))
     return blocks
+
+
+def dicke_weights(n, k, delta):
+    """The diagonal of W_delta for the split k | N-k (``dicke_blocks``)."""
+    a = range(max(0, delta), min(k, n - k + delta) + 1)
+    return np.sqrt([float(comb(k, i) * comb(n - k, i - delta)) for i in a])
 
 
 def has_zero_block(n, k):
@@ -260,16 +266,19 @@ class TestDickeBlocks:
 
 @pytest.mark.parametrize("n", range(1, 41))
 def test_both_tables_come_from_the_dicke_blocks(n):
-    # the mask and eigensolve tables read windows of one Hankel index rule;
-    # both give the Dicke blocks of the reference above, bit for bit (the
-    # populations are distinct, so equal blocks mean equal indices too)
+    # the segment and eigensolve tables read windows of one Hankel index
+    # rule; the segment table's indices and folded weights are those of the
+    # reference above, outer(w, w) / C(N, idx), bit for bit, and its blocks
+    # the reference blocks up to the rounding of the folded binomials; the
+    # eigensolve table gives them bit for bit (the populations are distinct,
+    # so equal blocks mean equal indices too)
     k = n // 2
     chi = np.random.default_rng(n).dirichlet(np.ones(n + 1))
     p = chi / binomials(n)
     blocks = dict(zip(range(k - n, k + 1), dicke_blocks(chi, k)))
     # smaller block first; at odd N the sizes are equal and delta = 0 leads
     order = (0, -1) if n % 2 else (-1, 0)
-    for delta, (idx, w, diag) in zip(order, ppt._mask_tables(n), strict=True):
+    for delta, (idx, w, diag, _, _) in zip(order, ppt._segment_tables(n), strict=True):
         size = len(diag)
         # column j packs the entries a[j:, j], starting at its diagonal entry
         lower_idx = np.zeros((size, size), dtype=idx.dtype)
@@ -277,8 +286,12 @@ def test_both_tables_come_from_the_dicke_blocks(n):
         for j, start in enumerate(diag):
             lower_idx[j:, j] = idx[start:start + size - j]
             lower_w[j:, j] = w[start:start + size - j, 0]
-        np.testing.assert_array_equal(lower_idx, np.tril(hankel_index(-delta, size)))
-        np.testing.assert_array_equal(p[lower_idx] * lower_w, np.tril(blocks[delta]))
+        window = hankel_index(-delta, size)
+        np.testing.assert_array_equal(lower_idx, np.tril(window))
+        dw = dicke_weights(n, k, delta)
+        np.testing.assert_array_equal(lower_w, np.tril(np.outer(dw, dw) / binomials(n)[window]))
+        np.testing.assert_allclose(chi[lower_idx] * lower_w, np.tril(blocks[delta]),
+                                   rtol=1e-15, atol=0)
     if n < 2:
         return  # k = 0 is no split, and the eigensolve table has none
     for delta in order:
@@ -613,18 +626,43 @@ class TestSegmentShare:
     @pytest.mark.parametrize("n", [1, 2, 4, 7, 10])
     def test_scale_invariant(self, n):
         # the rows are populations up to a positive factor, and tol scales
-        # with them.  _mixture_rows is left out: a mixture of two or three
-        # product states has Hankel blocks singular but for tol, so its tail
-        # cancels, and at N = 7 its share moves by up to 2e-11 under scaling
+        # with them, for the share and the mask alike.  _mixture_rows is left
+        # out: a mixture of two or three product states has Hankel blocks
+        # singular but for tol, so its tail cancels, and at N = 7 its share
+        # moves by up to 2e-11 under scaling
         rng = np.random.default_rng(700 + n)
         e = np.concatenate([
             rng.standard_exponential((400, n + 1)),
             _separable_blend(n, 700 + n, np.linspace(0.0, 1.0, 200)),
             _product_rows(n),
+            _below_dicke_threshold(n),
         ])
         share = ppt.ppt_segment_share(n, e)
+        mask = ppt_pass_mask(n, e)
+        assert n == 1 or mask[-1]
         for factor in (1e-3, 1e3):
             np.testing.assert_allclose(ppt.ppt_segment_share(n, factor * e), share, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(ppt_pass_mask(n, factor * e), mask)
+
+
+def _below_dicke_threshold(n):
+    """The blend (1 - t) |D_{N/2}> + t chi_u, as in
+    ``test_flips_at_dicke_noise_threshold``, just below its threshold t*:
+    its smallest partial-transpose eigenvalue lies in (-tol, 0), so it
+    passes, by a margin that a tol not scaling with the row would lose at
+    a factor of 1e3.  No row at N = 1, which has no split."""
+    if n == 1:
+        return np.empty((0, 2))
+    dicke = np.eye(n + 1)[n // 2]
+    uniform = np.full(n + 1, 1.0 / (n + 1))
+    below, above = 0.0, 1.0  # bisect for a minimum of -tol/2
+    for _ in range(60):
+        t = 0.5 * (below + above)
+        low = pt_min_eigenvalues(n, ((1.0 - t) * dicke + t * uniform)[None]).min()
+        below, above = (t, above) if low < -0.5 * DEFAULT_EIG_TOL else (below, t)
+    chi = ((1.0 - above) * dicke + above * uniform)[None]
+    assert -DEFAULT_EIG_TOL < pt_min_eigenvalues(n, chi).min() < 0.0
+    return chi
 
 
 @settings(max_examples=300, deadline=None)
@@ -643,7 +681,7 @@ def test_segment_interval_holds_the_row_verdict(n, raw, mix, seed):
     share = ppt.ppt_segment_share(n, chi)
     assert share.shape == (1,) and 0.0 <= share[0] <= 1.0
     passed = bool(ppt_pass_mask(n, chi)[0])
-    alive, lo, hi = ppt._pass_interval(n, chi)
+    alive, lo, hi = ppt._pass_interval(n, chi, -chi[:, -1], chi[:, -2].copy())
     band = 1e-9
     if len(alive):
         if min(abs(lo[0]), abs(hi[0])) > band:

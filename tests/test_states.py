@@ -300,6 +300,8 @@ def _one_rule_cases():
     for bad in (np.nan, np.inf):
         # NaN would fail inside LAPACK, and inf give NaN minima that read as "not PPT"
         case(pt_min_eigenvalues, (4, [[0.2, 0.2, bad, 0.2, 0.2]]), "entry", bad, "must be finite")
+        # an unchecked mask would pass [0.2, 0.2, 0.2, 0.2, inf] as PPT
+        case(ppt_pass_mask, (4, [[0.2, 0.2, 0.2, 0.2, bad]]), "entry", bad, "must be finite")
     return cases
 
 
